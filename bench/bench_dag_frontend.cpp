@@ -1,15 +1,14 @@
 /**
  * @file
  * General-DAG frontend benchmark: catalog build, condensation, the
- * structural SP decomposition, and the SP-tree solver against the
- * chain DP on the same graphs (transformers vs the CNN zoo), plus the
- * DOT export -> import -> plan round trip.
+ * structural SP decomposition, and the DP kernel over its flattening
+ * against the frozen legacy chain DP on the same graphs (transformers
+ * vs the CNN zoo), plus the DOT export -> import -> plan round trip.
  *
  * Two hard gates make this a CI regression check (nonzero exit):
- *   - the SP-tree solver must reproduce the chain DP's optimum on
- *     every chain-convertible row (both are exact minimizers of
- *     evaluateAssignment, so any gap is a bug), and the export ->
- *     import round trip must replan byte-identically;
+ *   - the kernel must reproduce the legacy chain DP bit for bit (cost
+ *     and assignment) on every row — all of them are chain-shaped —
+ *     and the export -> import round trip must replan byte-identically;
  *   - the structural decomposition must stay cheap: building the SP
  *     tree may not cost more than the solve it enables.
  */
@@ -21,14 +20,15 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "core/dp_kernel.h"
 #include "core/hierarchical_solver.h"
 #include "core/plan_io.h"
-#include "core/sp_solver.h"
 #include "graph/dot_export.h"
 #include "graph/sp_decomposition.h"
 #include "hw/hierarchy.h"
 #include "models/catalog.h"
 #include "models/import.h"
+#include "support/legacy_dp.h"
 #include "util/table.h"
 
 namespace {
@@ -89,7 +89,7 @@ main()
 
     bench::BenchReport report("dag_frontend");
     util::Table table({"row", "nodes", "build ms", "sp-tree ms",
-                       "chain dp ms", "sp solver ms", "roundtrip"});
+                       "kernel ms", "legacy dp ms", "roundtrip"});
     bool failed = false;
 
     const hw::Hierarchy hierarchy(
@@ -110,10 +110,9 @@ main()
         const auto succs = successorsOf(condensed);
         const double decompose_ns =
             bestNs([&] { graph::decomposeSpTree(succs); });
-        const graph::SpTree tree = graph::decomposeSpTree(succs);
 
-        // One root-pair solve, chain DP vs SP-tree solver, on the
-        // same cost model: both must land on the same optimum.
+        // One root-pair solve, kernel vs frozen legacy chain DP, on the
+        // same cost model: same cost and assignment, bit for bit.
         const hw::HierarchyNode &root =
             hierarchy.node(hierarchy.root());
         const hw::AcceleratorGroup &lg =
@@ -128,28 +127,31 @@ main()
         const core::TypeRestrictions allowed =
             core::unrestrictedTypes(condensed);
 
-        const double chain_ns = bestNs([&] {
-            core::solveChainDp(condensed, problem.chain(),
-                               problem.baseDims(), cost, allowed);
+        core::DpKernel kernel(problem.dpStructure(), problem.baseDims());
+        const double kernel_ns =
+            bestNs([&] { kernel.solve(cost, allowed); });
+        if (!problem.hasChain()) {
+            std::cerr << "FAIL: " << row.name
+                      << " lost its chain shape\n";
+            failed = true;
+            continue;
+        }
+        const double legacy_ns = bestNs([&] {
+            core::legacy::solveChainDp(condensed, problem.chain(),
+                                       problem.baseDims(), cost, allowed);
         });
-        const core::SpSolver solver(condensed, tree,
-                                    problem.baseDims());
-        const double sp_ns =
-            bestNs([&] { solver.solve(cost, allowed); });
 
-        const double chain_cost =
-            core::solveChainDp(condensed, problem.chain(),
-                               problem.baseDims(), cost, allowed)
-                .cost;
-        const double sp_cost = solver.solve(cost, allowed).cost;
-        if (std::abs(sp_cost - chain_cost) >
-            1e-9 * (1.0 + chain_cost)) {
-            std::cerr << "FAIL: SP solver diverges from chain DP on "
-                      << row.name << " (" << sp_cost << " vs "
-                      << chain_cost << ")\n";
+        const core::ChainDpResult fast = kernel.solve(cost, allowed);
+        const core::ChainDpResult reference = core::legacy::solveChainDp(
+            condensed, problem.chain(), problem.baseDims(), cost, allowed);
+        if (fast.cost != reference.cost || fast.types != reference.types) {
+            std::cerr << "FAIL: kernel diverges from the legacy chain DP "
+                         "on "
+                      << row.name << " (" << fast.cost << " vs "
+                      << reference.cost << ")\n";
             failed = true;
         }
-        if (decompose_ns > chain_ns && decompose_ns > sp_ns) {
+        if (decompose_ns > kernel_ns && decompose_ns > legacy_ns) {
             std::cerr << "FAIL: SP decomposition ("
                       << decompose_ns / 1e6
                       << " ms) dominates the solve on " << row.name
@@ -184,15 +186,15 @@ main()
             static_cast<double>(condensed.size());
         metrics["build_ns"] = build_ns;
         metrics["sp_decompose_ns"] = decompose_ns;
-        metrics["chain_dp_ns_per_solve"] = chain_ns;
-        metrics["sp_solver_ns_per_solve"] = sp_ns;
-        metrics["sp_over_chain"] = sp_ns / chain_ns;
+        metrics["kernel_ns_per_solve"] = kernel_ns;
+        metrics["legacy_dp_ns_per_solve"] = legacy_ns;
+        metrics["kernel_over_legacy"] = kernel_ns / legacy_ns;
         metrics["roundtrip_identical"] = roundtrip ? 1.0 : 0.0;
 
         table.addRow(row.name,
                      {static_cast<double>(condensed.size()),
                       build_ns / 1e6, decompose_ns / 1e6,
-                      chain_ns / 1e6, sp_ns / 1e6,
+                      kernel_ns / 1e6, legacy_ns / 1e6,
                       roundtrip ? 1.0 : 0.0},
                      3);
     }

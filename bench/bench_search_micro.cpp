@@ -12,6 +12,7 @@
 
 #include "core/brute_force.h"
 #include "core/cost_cache.h"
+#include "core/dp_kernel.h"
 #include "core/hierarchical_solver.h"
 #include "hw/hierarchy.h"
 #include "models/zoo.h"
@@ -54,11 +55,9 @@ BM_ChainDpVsLayers(benchmark::State &state)
     const core::PairCostModel cost = pairModel();
     const auto allowed =
         core::unrestrictedTypes(problem.condensed());
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(core::solveChainDp(
-            problem.condensed(), problem.chain(), problem.baseDims(),
-            cost, allowed));
-    }
+    core::DpKernel kernel(problem.dpStructure(), problem.baseDims());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(kernel.solve(cost, allowed));
     state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ChainDpVsLayers)->RangeMultiplier(2)->Range(2, 64)

@@ -5,10 +5,8 @@
 #include <vector>
 
 #include "core/condensed_graph.h"
-#include "core/segment.h"
-#include "core/sp_solver.h"
+#include "core/dp_kernel.h"
 #include "graph/shape_inference.h"
-#include "graph/sp_decomposition.h"
 #include "util/error.h"
 
 namespace accpar::analysis {
@@ -155,33 +153,24 @@ lintPartitionStructure(const graph::Graph &graph, DiagnosticSink &sink)
     // invariants checked above, so only attempt it once those hold.
     try {
         const core::CondensedGraph condensed(graph);
-        try {
-            core::decomposeSeriesParallel(condensed);
-            return; // Chain-decomposable: the frozen DP kernel plans it.
-        } catch (const util::Error &e) {
+        const core::DpStructure structure(condensed);
+        if (!structure.hasChain()) {
             sink.warning(
                 "AG007", "model '" + graph.name() + "'",
-                std::string("fork/join structure is not "
-                            "chain-decomposable: ") +
-                    e.what(),
-                "planning falls back to the SP decomposition tree "
-                "(paper §5.2 applied recursively); plan certificates "
-                "are unavailable for this model");
+                "fork/join structure has residual regions or branches "
+                "that share their parent's join; plan certificates are "
+                "unavailable for this model",
+                "planning stays exact (paper §5.2 applied "
+                "recursively); certificates need fork/join regions "
+                "that nest with distinct joins");
         }
-        // AG009: the SP-tree fallback is exact only while every
-        // residual (non-series-parallel) region stays enumerable.
-        std::vector<std::vector<int>> succs(condensed.size());
-        for (std::size_t v = 0; v < condensed.size(); ++v)
-            for (core::CNodeId p :
-                 condensed.node(static_cast<core::CNodeId>(v)).preds)
-                succs[static_cast<std::size_t>(p)].push_back(
-                    static_cast<int>(v));
-        const graph::SpTree tree = graph::decomposeSpTree(succs);
-        if (tree.maxResidualSize() > core::kResidualExactLimit) {
+        // AG009: residual (non-series-parallel) regions are exact only
+        // while they stay enumerable.
+        if (structure.maxResidualSize() > core::kResidualExactLimit) {
             sink.error(
                 "AG009", "model '" + graph.name() + "'",
                 "a non-series-parallel region has " +
-                    std::to_string(tree.maxResidualSize()) +
+                    std::to_string(structure.maxResidualSize()) +
                     " internal nodes; the exact fallback enumerates "
                     "at most " +
                     std::to_string(core::kResidualExactLimit),

@@ -15,7 +15,8 @@
  *   AG004 error   not exactly one Input layer
  *   AG005 error   not exactly one sink layer
  *   AG006 error   recorded output shape disagrees with re-inference
- *   AG007 error   fork/join region is not series-parallel (§5.2)
+ *   AG007 warning certificates unavailable: residual regions or
+ *                 branches sharing their parent's join (§5.2)
  *   AG008 warning no weighted (CONV/FC) layers — nothing to partition
  */
 

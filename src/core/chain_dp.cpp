@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/dp_kernel.h"
 #include "util/error.h"
 
 namespace accpar::core {
@@ -14,18 +13,6 @@ unrestrictedTypes(const CondensedGraph &graph)
     for (std::size_t i = 0; i < graph.size(); ++i)
         out[i].assign(kAllPartitionTypes.begin(), kAllPartitionTypes.end());
     return out;
-}
-
-ChainDpResult
-solveChainDp(const CondensedGraph &graph, const Chain &chain,
-             const std::vector<LayerDims> &dims,
-             const PairCostModel &model, const TypeRestrictions &allowed)
-{
-    // One-shot entry point: compiles a kernel for this triple and
-    // solves once. The hierarchical solver keeps its own kernel alive
-    // across the adaptive-ratio iterations instead.
-    DpKernel kernel(graph, chain, dims);
-    return kernel.solve(model, allowed);
 }
 
 double

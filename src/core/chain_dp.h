@@ -1,20 +1,20 @@
 /**
  * @file
- * Layer-wise dynamic-programming search (paper §5.1, Eq. 9) extended with
- * the multi-path handling of §5.2.
+ * Vocabulary of the layer-wise dynamic-programming search (paper §5.1,
+ * Eq. 9) extended with the multi-path handling of §5.2: type
+ * restrictions, the result of one solve, and the objective itself.
  *
- * The DP runs over the series-parallel chain of the condensed graph. For
- * linear segments it is exactly Eq. 9: the accumulated cost of layer
- * L_{i+1} in state t is the minimum over the previous layer's states tt of
- * accumulated cost + computation cost + (intra- and inter-layer)
- * communication cost. At a parallel element, the transition cost from the
- * fork state tt to the join state t is the sum over paths of each path's
- * own minimal chain cost conditioned on the two endpoint states — the
- * procedure of Figure 4. An empty path (identity shortcut) contributes the
- * plain inter-layer conversion on the join tensor.
+ * For linear segments the DP is exactly Eq. 9: the accumulated cost of
+ * layer L_{i+1} in state t is the minimum over the previous layer's
+ * states tt of accumulated cost + computation cost + (intra- and
+ * inter-layer) communication cost. At a parallel region, the transition
+ * cost from the fork state tt to the join state t is the sum over paths
+ * of each path's own minimal chain cost conditioned on the two endpoint
+ * states — the procedure of Figure 4. An empty path (identity shortcut)
+ * contributes the plain inter-layer conversion on the join tensor.
  *
- * The search is exact for the given cost model: on series-parallel
- * condensed graphs it reproduces the brute-force optimum over all
+ * The solver is core/dp_kernel.h. It is exact for the given cost model:
+ * it reproduces the brute-force optimum of evaluateAssignment over all
  * 3^N assignments (verified by tests/core_dp_test).
  */
 
@@ -52,24 +52,9 @@ struct ChainDpResult
 };
 
 /**
- * Solves the layer-wise partitioning DP.
- *
- * @param graph     the condensed model graph (junction flags, names)
- * @param chain     its series-parallel decomposition
- * @param dims      per-node dims, already scaled by ancestor hierarchy
- *                  levels (indexed by CNodeId)
- * @param model     pair cost model with the ratio already set
- * @param allowed   per-node allowed types; must be non-empty per node
- */
-ChainDpResult solveChainDp(const CondensedGraph &graph, const Chain &chain,
-                           const std::vector<LayerDims> &dims,
-                           const PairCostModel &model,
-                           const TypeRestrictions &allowed);
-
-/**
  * Evaluates the cost of a fixed assignment directly on the condensed DAG
  * (sum of node costs plus inter-layer costs over every condensed edge,
- * with no charge into the source). solveChainDp minimizes exactly this
+ * with no charge into the source). The DP kernel minimizes exactly this
  * quantity; brute-force search enumerates it.
  */
 double evaluateAssignment(const CondensedGraph &graph,

@@ -1,20 +1,23 @@
 /**
  * @file
- * Flattened chain-DP kernel.
+ * Flattened partition-DP kernel: the one solver behind every plan.
  *
- * solveChainDp's original formulation recomputed every cost term
- * through the PairCostModel at each DP visit, copied full assignment
- * vectors while backtracking (O(n^2) on deep chains) and re-solved each
- * parallel path for all nine (fork, join) type pairs even though the
- * sub-solve depends only on the three entry states. The compiled form
+ * The paper's §5.2 sum-of-path-minima is a single recurrence over the
+ * series-parallel structure of the condensed graph. The compiled form
  * is split in two layers:
  *
- *  - DpStructure compiles the (graph, chain) pair once — the condensed
- *    edge list in CSR form, a mirror of the series-parallel chain with
- *    edge indices resolved, and the coverage check. It is immutable and
- *    shareable: every DpKernel over the same problem (all hierarchy
- *    candidates of a batched solve, every adaptive-ratio iteration)
- *    borrows one structure instead of recompiling it.
+ *  - DpStructure flattens the structural decomposition tree
+ *    (graph/sp_decomposition.h) once per problem — the condensed edge
+ *    list in CSR form and a chain of elements with every transition
+ *    resolved. Series spines become element sequences; each element is
+ *    reached from the previous one by a transition, which is a single
+ *    condensed edge, a parallel region (one branch per path between the
+ *    two nodes, unfolded from the tree's binary folds) or a residual
+ *    region (a non-series-parallel two-terminal region of at most
+ *    kResidualExactLimit internal nodes, minimized by enumeration). It
+ *    is immutable and shareable: every DpKernel over the same problem
+ *    (all hierarchy candidates of a batched solve, every adaptive-ratio
+ *    iteration) borrows one structure instead of recompiling it.
  *  - DpKernel adds what depends on the dims and the model: per-edge
  *    boundary element counts, the preallocated DP state tree, and the
  *    per-solve cost tables. Each solve() is:
@@ -22,32 +25,37 @@
  *     1. fill a dense [node][type] node-cost table and a per-edge
  *        to-major [to][from] transition table through the model
  *        (memoized when a CostCache is attached), restricted to the
- *        allowed types;
+ *        allowed types; then minimize every residual region over its
+ *        internal assignments by reading those two tables, into one
+ *        more to-major block per region;
  *     2. run the DP as pure array arithmetic — the relaxation step of
- *        each chain element computes all nine (target, source)
- *        candidates through the dispatched batch kernel
- *        (structure-of-arrays over the 3x3 transition block, see
+ *        each element reached by an edge or residual block computes
+ *        all nine (target, source) candidates through the dispatched
+ *        batch kernel (structure-of-arrays over the 3x3 block, see
  *        core/batch_kernels.h and DESIGN.md §17) and reduces them in
  *        the scalar allowed-type order — recording per-(element, type)
  *        parent pointers instead of assignments, and solving each
- *        parallel path once per feasible entry type;
+ *        parallel branch once per feasible entry type;
  *     3. reconstruct the winning assignment in one backtracking pass.
  *
  * The adaptive-ratio loop of the hierarchical solver reuses one kernel
  * across all its (alpha, restriction) iterations; only step 1 repeats.
  *
- * Every cost is obtained through the same PairCostModel entry points as
- * before (identical arguments, identical order of comparisons and
- * additions), so results are bit-identical to the original path — the
- * property tests assert this against the frozen legacy copy, and the
- * batch-kernel contract guarantees the vectorized candidates match the
- * scalar relaxation bit for bit.
+ * On structures of the legacy chain shape (hasChain()) every cost is
+ * obtained through the same PairCostModel entry points as the original
+ * chain DP (identical arguments, identical order of comparisons and
+ * additions), so results are bit-identical to it — the property tests
+ * assert this against the frozen legacy copy, and the batch-kernel
+ * contract guarantees the vectorized candidates match the scalar
+ * relaxation bit for bit. On every structure the result is the exact
+ * minimum of evaluateAssignment.
  */
 
 #ifndef ACCPAR_CORE_DP_KERNEL_H
 #define ACCPAR_CORE_DP_KERNEL_H
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -57,29 +65,66 @@
 #include "core/condensed_graph.h"
 #include "core/cost_model.h"
 #include "core/segment.h"
+#include "graph/sp_decomposition.h"
 
 namespace accpar::core {
 
 struct NodeCertificate;
 
 /**
- * The dims- and model-independent compiled structure of one
- * (graph, chain) pair: condensed edges in CSR form and the chain mirror
+ * Largest residual internal set the kernel enumerates (3^N
+ * assignments). Beyond this, planning fails with AG009 rather than
+ * returning an unproven plan.
+ */
+inline constexpr std::size_t kResidualExactLimit = 9;
+
+/** One root-chain node and the condensed nodes strictly inside the
+ *  transition that reaches it (empty for a single edge). */
+struct BackboneStep
+{
+    CNodeId node = kNoEntryNode;
+    std::vector<CNodeId> region;
+};
+
+/**
+ * The dims- and model-independent compiled structure of one condensed
+ * graph: condensed edges in CSR form and the flattened decomposition
  * with edge indices resolved. Immutable after construction, so any
  * number of DpKernels (including concurrent ones on different threads)
- * can borrow the same instance; @p graph and the chain's nodes must
- * outlive it.
+ * can borrow the same instance; @p graph must outlive it.
  */
 class DpStructure
 {
   public:
-    DpStructure(const CondensedGraph &graph, const Chain &chain);
+    /** Decomposes @p graph (graph::decomposeSpTree) and flattens the
+     *  tree. Residual regions of any size compile; only a DpKernel
+     *  requires them within kResidualExactLimit. */
+    explicit DpStructure(const CondensedGraph &graph);
     DpStructure(const DpStructure &) = delete;
     DpStructure &operator=(const DpStructure &) = delete;
     ~DpStructure();
 
     const CondensedGraph &graph() const { return _graph; }
     std::size_t edgeCount() const { return _edges.size(); }
+
+    /** Internal-node count of the largest residual region (0 when the
+     *  graph is series-parallel). */
+    std::size_t maxResidualSize() const;
+
+    /**
+     * True when the structure has only edges and distinct-join
+     * parallels: every branch starts with an edge out of its fork and
+     * ends with an edge into its join, and no residual region exists.
+     * That is the legacy chain shape (core/segment.h), the one plan
+     * certificates record.
+     */
+    bool hasChain() const { return _hasChain; }
+
+    /** The structure as a legacy Chain; ConfigError unless hasChain(). */
+    Chain chainView() const;
+
+    /** The root chain in order, one step per element. */
+    std::vector<BackboneStep> backbone() const;
 
   private:
     friend class DpKernel;
@@ -94,15 +139,26 @@ class DpStructure
         CNodeId to = kNoEntryNode;
     };
 
-    /** One chain element with incoming edges resolved to indices. */
+    /**
+     * How an element's state is reached from the previous state (the
+     * fork's, for the first element of a branch).
+     */
+    struct Transition
+    {
+        /** Index of the transition's 3x3 block in the kernel's to-major
+         *  table: a condensed edge, or edgeCount() + r for residual
+         *  region r. -1 for a parallel and for the model's source. */
+        std::int32_t block = -1;
+        /** Parallel only: the branches, in the fork's successor order. */
+        std::vector<CompiledPath> paths;
+
+        bool isParallel() const { return !paths.empty(); }
+    };
+
     struct CompiledElem
     {
         CNodeId node = kNoEntryNode;
-        /** Edge from the previous element (or entry edge for the first
-         *  element of a parallel path); -1 for the model's source. */
-        std::int32_t edgePrev = -1;
-        /** Non-empty for the join of a parallel region. */
-        std::vector<CompiledPath> paths;
+        Transition in;
     };
 
     struct CompiledChain
@@ -113,35 +169,62 @@ class DpStructure
     /** One branch between a fork and its join. */
     struct CompiledPath
     {
-        /** Null for an identity shortcut (empty path). */
+        /** The branch's own elements; null when the branch is a single
+         *  transition from the fork (an identity shortcut or a
+         *  residual region). */
         std::unique_ptr<CompiledChain> chain;
-        CNodeId lastNode = kNoEntryNode; ///< last node of the branch
-        std::int32_t exitEdge = -1;      ///< lastNode -> join
-        std::int32_t directEdge = -1;    ///< fork -> join (identity)
+        CNodeId lastNode = kNoEntryNode; ///< last node of the chain
+        /** Last node (the fork when chain is null) -> join; a nested
+         *  region when the branch closes at its parent's join. */
+        Transition exit;
+    };
+
+    /** A non-series-parallel region enumerated by the kernel. */
+    struct Residual
+    {
+        CNodeId source = kNoEntryNode;
+        CNodeId sink = kNoEntryNode;
+        std::vector<CNodeId> internal;
+        /** One edge cost term: slots index @c internal; -1 stands for
+         *  the region's source (in @c from) or sink (in @c to). */
+        struct Term
+        {
+            std::int32_t edge = -1;
+            std::int32_t from = -1;
+            std::int32_t to = -1;
+        };
+        std::vector<Term> inner; ///< edges among internal nodes
+        std::vector<Term> cross; ///< edges touching a terminal
     };
 
     std::int32_t edgeIndex(CNodeId from, CNodeId to) const;
-    std::unique_ptr<CompiledChain> compileChain(const Chain &chain,
-                                                CNodeId fork);
+    Transition compileTransition(const graph::SpTree &tree,
+                                 graph::SpNodeId id);
+    CompiledPath compilePath(const graph::SpTree &tree,
+                             graph::SpNodeId id);
+    std::int32_t compileResidual(const graph::SpNode &node);
+    void appendElems(const graph::SpTree &tree,
+                     const std::vector<graph::SpNodeId> &parts,
+                     std::size_t count, CompiledChain &chain);
+    bool chainShaped(const CompiledChain &chain) const;
+    void collectNodes(const Transition &tr,
+                      std::vector<CNodeId> &out) const;
+    void collectNodes(const CompiledChain &chain,
+                      std::vector<CNodeId> &out) const;
 
     const CondensedGraph &_graph;
     std::vector<Edge> _edges;
     /** Incoming-edge range of node v: [_edgeStart[v], _edgeStart[v+1]). */
     std::vector<std::int32_t> _edgeStart;
+    std::vector<Residual> _residuals;
     std::unique_ptr<CompiledChain> _root;
+    bool _hasChain = false;
 };
 
-/** Reusable flattened solver for one (graph, chain, dims) triple. */
+/** Reusable flattened solver for one (structure, dims) pair. */
 class DpKernel
 {
   public:
-    /**
-     * Compiles the structure and binds it to @p dims. @p graph,
-     * @p chain and @p dims must outlive the kernel and stay unchanged.
-     */
-    DpKernel(const CondensedGraph &graph, const Chain &chain,
-             const std::vector<LayerDims> &dims);
-
     /**
      * Borrows an already-compiled @p structure (shared across kernels;
      * see DpStructure) and binds it to @p dims. @p structure and
@@ -155,10 +238,10 @@ class DpKernel
     ~DpKernel();
 
     /**
-     * Runs the DP under @p model's current configuration and ratio.
-     * Equivalent to (and bit-identical with) solveChainDp on the
-     * compiled triple. May be called repeatedly with different models,
-     * alphas or restrictions; the compiled structure is reused.
+     * Runs the DP under @p model's current configuration and ratio and
+     * returns the exact minimum of evaluateAssignment under @p allowed.
+     * May be called repeatedly with different models, alphas or
+     * restrictions; the compiled structure is reused.
      */
     ChainDpResult solve(const PairCostModel &model,
                         const TypeRestrictions &allowed);
@@ -176,20 +259,25 @@ class DpKernel
      * the tables are not cleared between solves, so those cells hold
      * stale values the DP never read), the root-chain Bellman rows
      * with parent pointers, and the recomputed exit argmin. Must be
-     * called after solve() with the same @p allowed; alpha fields are
-     * the caller's (the kernel does not know the ratio search).
+     * called after solve() with the same @p allowed, on a structure
+     * with hasChain(); alpha fields are the caller's (the kernel does
+     * not know the ratio search).
      */
     void extractCertificate(const TypeRestrictions &allowed,
                             NodeCertificate &cert) const;
 
   private:
     using Edge = DpStructure::Edge;
+    using Transition = DpStructure::Transition;
     using CompiledElem = DpStructure::CompiledElem;
     using CompiledChain = DpStructure::CompiledChain;
     using CompiledPath = DpStructure::CompiledPath;
+    using Residual = DpStructure::Residual;
+
+    struct ParState;
 
     /** Preallocated DP state of one chain: costs, parent pointers and
-     *  per-path sub-states of parallel elements. */
+     *  the memo of every element reached by a parallel. */
     struct ChainState
     {
         /** cost[elem * 3 + t]; infinity = infeasible. */
@@ -197,58 +285,69 @@ class DpKernel
         /** Entry-type index the optimum of (elem, t) came from; -1
          *  when unset (first element or infeasible). */
         std::vector<std::int8_t> parent;
-        /** Per parallel element (keyed by its index in the chain):
-         *  sub-state per (path, entry type), solved lazily once per
-         *  entry type per solve(). */
-        struct ParState
-        {
-            std::vector<std::array<std::unique_ptr<ChainState>, 3>>
-                paths;
-            std::array<bool, 3> solved{};
-        };
+        /** Per element: the memo of its incoming parallel, else null. */
         std::vector<std::unique_ptr<ParState>> pars;
     };
 
-    DpKernel(std::unique_ptr<DpStructure> owned,
-             const std::vector<LayerDims> &dims);
+    /** Sub-state of one branch under one entry type. */
+    struct PathState
+    {
+        ChainState chain; ///< empty when the path has no chain
+        std::unique_ptr<ParState> exit;    ///< memo of a parallel exit
+    };
+
+    /** Per parallel transition: branch sub-states per (path, entry
+     *  type), solved lazily once per entry type per solve(). */
+    struct ParState
+    {
+        std::vector<std::array<PathState, 3>> paths;
+        std::array<bool, 3> solved{};
+    };
+
     void init();
 
-    std::unique_ptr<ChainState>
-    makeState(const CompiledChain &chain) const;
+    ChainState makeState(const CompiledChain &chain) const;
+    std::unique_ptr<ParState> makeParState(const Transition &tr) const;
     void resetState(const CompiledChain &chain, ChainState &state) const;
+    void solveResiduals();
 
     void solveChain(const CompiledChain &chain, ChainState &state,
                     int entry_ti);
-    double parallelTransition(const CompiledElem &elem,
-                              ChainState::ParState &par, int tti, int t);
-    int bestPathExit(const CompiledPath &path, const ChainState &state,
-                     int t) const;
-    void backtrack(const CompiledChain &chain, const ChainState &state,
-                   int exit_ti, std::vector<PartitionType> &types) const;
+    double transition(const Transition &tr, ParState *par, int from,
+                      int to);
+    double parallelTransition(const Transition &tr, ParState &par,
+                              int tti, int t);
+    int bestPathExit(const CompiledPath &path, PathState &state, int t);
+    void backtrack(const CompiledChain &chain, ChainState &state,
+                   int entry_ti, int exit_ti,
+                   std::vector<PartitionType> &types);
+    void backtrackTransition(const Transition &tr, ParState *par,
+                             int from, int to,
+                             std::vector<PartitionType> &types);
 
-    /** Non-null only for the compatibility constructor that compiles
-     *  its own structure; _structure always refers to the one in use. */
-    std::unique_ptr<DpStructure> _owned;
     const DpStructure &_structure;
     const std::vector<LayerDims> &_dims;
 
     /** Boundary tensor size per structure edge (dims-dependent). */
     std::vector<double> _boundary;
 
-    std::unique_ptr<ChainState> _rootState;
+    ChainState _rootState;
 
     /** Scratch filled per solve(). */
-    const PairCostModel *_model = nullptr;
     const TypeRestrictions *_allowed = nullptr;
     const BatchKernelOps *_ops = nullptr;
     std::vector<double> _nodeTable; ///< [node * 3 + t]
     /**
-     * To-major transition table: [edge * 9 + to * 3 + from], one extra
-     * trailing element so the batch kernel's four-wide column loads of
-     * the last edge stay in bounds (the pad is written by no one after
-     * init and read only as a discarded lane).
+     * To-major transition table: [block * 9 + to * 3 + from] — one
+     * block per condensed edge, then one per residual region — with
+     * one extra trailing element so the batch kernel's four-wide
+     * column loads of the last block stay in bounds (the pad is
+     * written by no one after init and read only as a discarded lane).
      */
     std::vector<double> _edgeTableT;
+    /** Winning internal assignment per (residual, to * 3 + from),
+     *  kResidualExactLimit type indices each. */
+    std::vector<std::int8_t> _residualPick;
 };
 
 } // namespace accpar::core

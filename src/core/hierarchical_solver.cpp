@@ -2,38 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "core/certificate.h"
 #include "core/dp_kernel.h"
-#include "core/sp_solver.h"
 #include "util/error.h"
 #include "util/logging.h"
 
 namespace accpar::core {
 
 PartitionProblem::PartitionProblem(const graph::Graph &model)
-    : _condensed(model)
+    : _condensed(model),
+      _dpStructure(std::make_unique<DpStructure>(_condensed)),
+      _hasChain(_dpStructure->hasChain())
 {
-    // Structural classification: models the legacy chain decomposition
-    // recognizes keep the frozen DP-kernel path (plans stay
-    // byte-identical to tests/support/legacy_dp); every other graph —
-    // SP shapes the chain view cannot express as well as genuinely
-    // non-SP graphs — gets the general decomposition tree for the
-    // SP-tree solver.
-    try {
-        _chain = decomposeSeriesParallel(_condensed);
-        _hasChain = true;
-    } catch (const util::Error &) {
-        std::vector<std::vector<int>> succs(_condensed.size());
-        for (std::size_t v = 0; v < _condensed.size(); ++v) {
-            for (CNodeId p : _condensed.node(static_cast<CNodeId>(v)).preds)
-                succs[p].push_back(static_cast<int>(v));
-        }
-        _spTree = graph::decomposeSpTree(succs);
-    }
+    ACCPAR_REQUIRE(
+        _dpStructure->maxResidualSize() <= kResidualExactLimit,
+        "[AG009] a non-series-parallel region of "
+            << _condensed.modelName() << " has "
+            << _dpStructure->maxResidualSize()
+            << " internal layers, beyond the exact-fallback bound of "
+            << kResidualExactLimit
+            << "; the partition search cannot prove optimality for it");
     if (_hasChain)
-        _dpStructure = std::make_unique<DpStructure>(_condensed, _chain);
+        _chain = _dpStructure->chainView();
     _baseDims.reserve(_condensed.size());
     for (const CondensedNode &node : _condensed.nodes())
         _baseDims.push_back(node.dims);
@@ -41,34 +32,14 @@ PartitionProblem::PartitionProblem(const graph::Graph &model)
 
 PartitionProblem::~PartitionProblem() = default;
 
-const DpStructure &
-PartitionProblem::dpStructure() const
-{
-    ACCPAR_REQUIRE(_hasChain,
-                   "model " << _condensed.modelName()
-                            << " is not chain-decomposable; it has no "
-                               "compiled DP structure");
-    return *_dpStructure;
-}
-
 const Chain &
 PartitionProblem::chain() const
 {
     ACCPAR_REQUIRE(_hasChain,
                    "model " << _condensed.modelName()
-                            << " is not chain-decomposable; this "
-                               "problem uses the general SP tree");
+                            << " is not chain-decomposable; it has no "
+                               "legacy chain view");
     return _chain;
-}
-
-const graph::SpTree &
-PartitionProblem::spTree() const
-{
-    ACCPAR_REQUIRE(!_hasChain,
-                   "model " << _condensed.modelName()
-                            << " is chain-decomposable; the SP tree "
-                               "is not built for chain-mode problems");
-    return _spTree;
 }
 
 std::vector<std::string>
@@ -281,27 +252,16 @@ struct HierSolver
         const std::vector<LayerDims> dims = scaledDims(problem, scales);
         const CondensedGraph &graph = problem.condensed();
 
-        // One compiled search per hierarchy node: the decomposition
-        // structure is fixed across the adaptive-ratio iterations, so
-        // only the cost tables are refilled per alpha. Chain-mode
-        // problems keep the frozen DP kernel; everything else runs
-        // the SP-tree solver over the same cost entry points.
+        // One kernel per hierarchy node: the compiled structure is
+        // fixed across the adaptive-ratio iterations, so only the cost
+        // tables are refilled per alpha.
         const bool emit = context.certificate != nullptr;
         std::vector<double> alpha_history;
         if (emit)
             alpha_history.push_back(alpha);
-        std::optional<DpKernel> kernel;
-        std::optional<SpSolver> spSolver;
-        if (problem.hasChain())
-            kernel.emplace(problem.dpStructure(), dims);
-        else
-            spSolver.emplace(graph, problem.spTree(), dims);
-        const auto solveOnce = [&](const TypeRestrictions &types) {
-            return kernel ? kernel->solve(model, types)
-                          : spSolver->solve(model, types);
-        };
+        DpKernel kernel(problem.dpStructure(), dims);
         TypeRestrictions allowed = effectiveRestrictions(dims, alpha);
-        ChainDpResult result = solveOnce(allowed);
+        ChainDpResult result = kernel.solve(model, allowed);
         RatioBracket bracket{alpha, alpha};
         const bool adaptive =
             options.ratioPolicy == RatioPolicy::PaperLinear ||
@@ -322,7 +282,7 @@ struct HierSolver
                     alpha_history.push_back(alpha);
                 model.setAlpha(alpha);
                 allowed = effectiveRestrictions(dims, alpha);
-                result = solveOnce(allowed);
+                result = kernel.solve(model, allowed);
             }
         }
 
@@ -353,7 +313,7 @@ struct HierSolver
             cert.alphaHistory = std::move(alpha_history);
             cert.cost = result.cost;
             cert.types = result.types;
-            kernel->extractCertificate(allowed, cert);
+            kernel.extractCertificate(allowed, cert);
             context.certificate->setNodeCertificate(id,
                                                     std::move(cert));
         }
@@ -406,10 +366,9 @@ solveHierarchy(const PartitionProblem &problem,
                const SolverOptions &options, const SolveContext &context)
 {
     if (context.certificate) {
-        // Certificates serialize the chain DP's evidence (Bellman
-        // rows over the compiled chain); the SP-tree solver has no
-        // chain to record, so certificate emission requires the
-        // legacy-decomposable structure.
+        // Certificates serialize the DP's evidence as Bellman rows
+        // over the legacy chain shape; residual regions and branches
+        // sharing their parent's join have no place in that record.
         ACCPAR_REQUIRE(problem.hasChain(),
                        "plan certificates require a chain-decomposable "
                        "(series-parallel) model; "

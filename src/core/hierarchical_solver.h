@@ -28,7 +28,6 @@
 #include "core/ratio_solver.h"
 #include "core/segment.h"
 #include "graph/graph.h"
-#include "graph/sp_decomposition.h"
 #include "hw/hierarchy.h"
 #include "util/thread_pool.h"
 
@@ -110,14 +109,11 @@ bool typeFeasible(const LayerDims &dims, bool junction, PartitionType t,
  * A prepared partitioning problem: the condensed view of one model,
  * reusable across hierarchies and solver options.
  *
- * Construction classifies the condensed graph structurally. Models
- * whose fork/join regions nest with distinct joins take the legacy
- * chain decomposition and are solved by the flattened DP kernel —
- * byte-identical to the frozen tests/support/legacy_dp reference.
- * Everything else (including non-series-parallel graphs) gets the
- * general SP-decomposition tree (graph/sp_decomposition.h) and is
- * solved by core/sp_solver.h; residual regions beyond the exact
- * bound are rejected there with diagnostic AG009.
+ * Construction decomposes the condensed graph into its SP tree
+ * (graph/sp_decomposition.h) and flattens it into the DP kernel's
+ * compiled structure, which solves every problem. Residual
+ * (non-series-parallel) regions beyond kResidualExactLimit internal
+ * nodes are rejected here with diagnostic AG009.
  */
 class PartitionProblem
 {
@@ -133,21 +129,19 @@ class PartitionProblem
 
     const CondensedGraph &condensed() const { return _condensed; }
 
-    /** True when the legacy chain decomposition applies (every zoo
-     *  CNN and transformer); the DP kernel path is used. */
+    /** True when the compiled structure has the legacy chain shape
+     *  (every zoo CNN and transformer): only edges and distinct-join
+     *  parallels. Plan certificates require it. */
     bool hasChain() const { return _hasChain; }
 
-    /** The legacy chain view; ConfigError unless hasChain(). */
+    /** The legacy chain view of the compiled structure; ConfigError
+     *  unless hasChain(). */
     const Chain &chain() const;
 
-    /** The compiled (graph, chain) structure every DpKernel over this
-     *  problem borrows — one compilation per problem instead of one
-     *  per hierarchy node. ConfigError unless hasChain(). */
-    const DpStructure &dpStructure() const;
-
-    /** The general decomposition tree; ConfigError when hasChain()
-     *  (chain-mode problems never build it). */
-    const graph::SpTree &spTree() const;
+    /** The compiled structure every DpKernel over this problem
+     *  borrows — one compilation per problem instead of one per
+     *  hierarchy node. */
+    const DpStructure &dpStructure() const { return *_dpStructure; }
 
     /** Unscaled dims per condensed node. */
     const std::vector<LayerDims> &baseDims() const { return _baseDims; }
@@ -157,14 +151,13 @@ class PartitionProblem
 
   private:
     CondensedGraph _condensed;
+    /** Compiled once in the constructor; the type stays incomplete
+     *  here so the certificate checker's include graph never reaches
+     *  the DP kernel (ALINT05). */
+    std::unique_ptr<DpStructure> _dpStructure;
     bool _hasChain = false;
     Chain _chain;
-    graph::SpTree _spTree;
     std::vector<LayerDims> _baseDims;
-    /** Compiled once in the constructor for chain-mode problems; the
-     *  type stays incomplete here so the certificate checker's include
-     *  graph never reaches the DP kernel (ALINT05). */
-    std::unique_ptr<DpStructure> _dpStructure;
 };
 
 /** Solves the full hierarchy for @p problem. */

@@ -373,7 +373,7 @@ Planner::planBatch(const std::vector<PlanRequest> &requests)
     // Build each distinct model's PartitionProblem exactly once, up
     // front and serially: condensation, the series-parallel
     // decomposition and the compiled DP structure (DpStructure — the
-    // edge CSR and chain mirror every DpKernel borrows) are the
+    // edge CSR and flattened SP tree every DpKernel borrows) are the
     // per-request setup cost a sweep repeats, and the finished
     // problems are read-only during the solves so requests sharing a
     // model can safely share one instance across threads.

@@ -1,14 +1,16 @@
 /**
  * @file
- * Series-parallel decomposition of the condensed graph.
+ * The chain view of a series-parallel condensed graph.
  *
  * The multi-path partitioning of paper §5.2 enumerates the states of the
  * layer before a fork and the layer after the join, and solves each path
- * independently between the two states. This module turns the condensed
- * DAG into the structure that search consumes: a Chain of Elements, where
- * an Element is either a single node or a parallel region (the paths
- * between a fork and its join, with the join as the element's
- * state-carrying node). Identity shortcuts appear as empty paths.
+ * independently between the two states. A Chain records that structure
+ * for graphs whose fork/join regions nest with distinct joins: a sequence
+ * of Elements, where an Element is either a single node or a parallel
+ * region (the paths between a fork and its join, with the join as the
+ * element's state-carrying node). Identity shortcuts appear as empty
+ * paths. PartitionProblem::chain() derives it from the DP kernel's
+ * compiled structure (core/dp_kernel.h); plan certificates replay it.
  */
 
 #ifndef ACCPAR_CORE_SEGMENT_H
@@ -41,19 +43,6 @@ struct Element
 
     bool isParallel() const { return !paths.empty(); }
 };
-
-/**
- * Decomposes @p graph into its series-parallel chain.
- *
- * Supports arbitrary nesting with distinct join nodes; throws ConfigError
- * for graphs where a nested region's join coincides with its parent's
- * (not series-parallel in the two-terminal sense, and not produced by any
- * model in the zoo).
- */
-Chain decomposeSeriesParallel(const CondensedGraph &graph);
-
-/** Immediate post-dominator of every node (sink maps to itself). */
-std::vector<CNodeId> immediatePostDominators(const CondensedGraph &graph);
 
 /** All node ids covered by @p chain, recursively, in visit order. */
 std::vector<CNodeId> collectChainNodes(const Chain &chain);

@@ -3,15 +3,14 @@
  * Structural series-parallel decomposition of a two-terminal DAG.
  *
  * The partition search of paper §5.2 composes path minima over
- * series-parallel regions. The legacy chain decomposition
- * (core/segment.h) *assumes* fork/join regions nest with distinct
- * joins; this pass instead *detects* the structure: it produces a
- * binary decomposition tree whose internal nodes are series or
- * parallel compositions of two-terminal regions, and whose leaves are
- * single edges. Regions that are not series-parallel are not an
+ * series-parallel regions. This pass *detects* that structure: it
+ * produces a binary decomposition tree whose internal nodes are series
+ * or parallel compositions of two-terminal regions, and whose leaves
+ * are single edges. Regions that are not series-parallel are not an
  * error — they become explicit Residual nodes carrying their internal
- * vertex set, which the solver handles by exact enumeration under a
- * size bound (core/sp_solver.h) and the linter reports otherwise.
+ * vertex set, which the DP kernel (core/dp_kernel.h) flattens and
+ * enumerates exactly under a size bound, and the linter reports
+ * otherwise.
  *
  * The input is an adjacency view of any single-source single-sink DAG
  * whose vertices are numbered in topological order (the invariant

@@ -1,8 +1,9 @@
 #include "strategies/hypar.h"
 
-#include <functional>
 #include <memory>
 #include <unordered_set>
+
+#include "core/dp_kernel.h"
 
 namespace accpar::strategies {
 
@@ -14,57 +15,21 @@ HyPar::plan(const core::PartitionProblem &problem,
     // HyPar "can only handle DNN architectures with linear structure"
     // (paper §1/§3.5). Nodes inside multi-path regions — the residual
     // blocks of ResNet — are beyond its search and fall back to data
-    // parallelism (Type-I); only the linear backbone is searched.
-    auto multipath = std::make_shared<std::unordered_set<core::CNodeId>>();
-    if (problem.hasChain()) {
-        for (const core::Element &element : problem.chain().elements) {
-            if (!element.isParallel())
-                continue;
-            multipath->insert(element.node);
-            for (const core::Chain &path : element.paths)
-                for (core::CNodeId id : core::collectChainNodes(path))
-                    multipath->insert(id);
-        }
-    } else {
-        // Same notion on the general decomposition tree: everything
-        // inside (or joining) a parallel or residual region is off the
-        // linear backbone; series cut vertices at the top level are on
-        // it.
-        const graph::SpTree &tree = problem.spTree();
-        const std::function<void(graph::SpNodeId, bool)> walk =
-            [&](graph::SpNodeId id, bool inside) {
-                if (id == graph::kNoSpNode)
-                    return;
-                const graph::SpNode &node = tree.node(id);
-                switch (node.kind) {
-                  case graph::SpKind::Leaf:
-                    break;
-                  case graph::SpKind::Series:
-                    if (inside)
-                        multipath->insert(tree.node(node.left).sink);
-                    walk(node.left, inside);
-                    walk(node.right, inside);
-                    break;
-                  case graph::SpKind::Parallel:
-                    multipath->insert(node.sink);
-                    walk(node.left, true);
-                    walk(node.right, true);
-                    break;
-                  case graph::SpKind::Residual:
-                    multipath->insert(node.sink);
-                    for (int v : node.internal)
-                        multipath->insert(v);
-                    break;
-                }
-            };
-        walk(tree.root(), false);
-    }
-    // collectChainNodes returns condensed ids; the allowed-types callback
-    // receives nodes, so match on the originating layer id.
+    // parallelism (Type-I); only the linear backbone is searched. A
+    // backbone node reached through a region (parallel or residual) is
+    // a join, off the linear backbone together with the region itself.
+    // The allowed-types callback receives nodes, so match on the
+    // originating layer id.
     auto multipath_layers =
         std::make_shared<std::unordered_set<graph::LayerId>>();
-    for (core::CNodeId id : *multipath)
-        multipath_layers->insert(problem.condensed().node(id).layer);
+    for (const core::BackboneStep &step :
+         problem.dpStructure().backbone()) {
+        if (step.region.empty())
+            continue;
+        multipath_layers->insert(problem.condensed().node(step.node).layer);
+        for (core::CNodeId id : step.region)
+            multipath_layers->insert(problem.condensed().node(id).layer);
+    }
 
     core::SolverOptions options;
     options.strategyName = name();

@@ -1,12 +1,18 @@
-/** @file Tests for condensation and series-parallel decomposition. */
+/**
+ * @file
+ * Tests for condensation, the chain view of the flattened SP tree, and
+ * the frozen post-dominator pass it replaced.
+ */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "core/condensed_graph.h"
+#include "core/hierarchical_solver.h"
 #include "core/segment.h"
 #include "models/zoo.h"
+#include "support/legacy_segment.h"
 #include "util/error.h"
 
 namespace {
@@ -127,7 +133,7 @@ TEST(Condensed, Resnet18HasExpectedStructure)
 TEST(PostDominators, ChainPointsToSuccessor)
 {
     const CondensedGraph c(CondensedGraph(models::buildLenet(4)));
-    const auto ipdom = immediatePostDominators(c);
+    const auto ipdom = legacy::immediatePostDominators(c);
     for (std::size_t i = 0; i + 1 < c.size(); ++i)
         EXPECT_EQ(ipdom[i], static_cast<CNodeId>(i + 1));
     EXPECT_EQ(ipdom.back(), c.sink());
@@ -136,7 +142,7 @@ TEST(PostDominators, ChainPointsToSuccessor)
 TEST(PostDominators, ForkJoinsAtJunction)
 {
     const CondensedGraph c(residualPair());
-    const auto ipdom = immediatePostDominators(c);
+    const auto ipdom = legacy::immediatePostDominators(c);
     // cv0 forks into (cv1a..cv1b) and the shortcut; its ipdom is add1.
     CNodeId cv0 = -1, add1 = -1;
     for (std::size_t i = 0; i < c.size(); ++i) {
@@ -150,17 +156,18 @@ TEST(PostDominators, ForkJoinsAtJunction)
 
 TEST(Decompose, LinearChainIsAllSingles)
 {
-    const CondensedGraph c(CondensedGraph(models::buildVgg(13, 4)));
-    const Chain chain = decomposeSeriesParallel(c);
-    EXPECT_EQ(chain.elements.size(), c.size());
+    const PartitionProblem problem(models::buildVgg(13, 4));
+    const Chain &chain = problem.chain();
+    EXPECT_EQ(chain.elements.size(), problem.condensed().size());
     for (const Element &e : chain.elements)
         EXPECT_FALSE(e.isParallel());
 }
 
 TEST(Decompose, ResidualPairYieldsTwoParallelElements)
 {
-    const CondensedGraph c(residualPair());
-    const Chain chain = decomposeSeriesParallel(c);
+    const PartitionProblem problem(residualPair());
+    const CondensedGraph &c = problem.condensed();
+    const Chain &chain = problem.chain();
     // cv0, P(add1), P(add2), fc.
     ASSERT_EQ(chain.elements.size(), 4u);
     EXPECT_FALSE(chain.elements[0].isParallel());
@@ -183,10 +190,9 @@ TEST(Decompose, CoversEveryNodeExactlyOnce)
     for (const char *name :
          {"lenet", "alexnet", "vgg19", "resnet18", "resnet34",
           "resnet50"}) {
-        const CondensedGraph c(
-            CondensedGraph(models::buildModel(name, 4)));
-        const Chain chain = decomposeSeriesParallel(c);
-        const auto covered = collectChainNodes(chain);
+        const PartitionProblem problem(models::buildModel(name, 4));
+        const CondensedGraph &c = problem.condensed();
+        const auto covered = collectChainNodes(problem.chain());
         EXPECT_EQ(covered.size(), c.size()) << name;
         std::vector<bool> seen(c.size(), false);
         for (CNodeId id : covered) {
@@ -198,9 +204,8 @@ TEST(Decompose, CoversEveryNodeExactlyOnce)
 
 TEST(Decompose, Resnet50BottleneckPaths)
 {
-    const CondensedGraph c(
-        CondensedGraph(models::buildResnet(50, 4)));
-    const Chain chain = decomposeSeriesParallel(c);
+    const PartitionProblem problem(models::buildResnet(50, 4));
+    const Chain &chain = problem.chain();
     int parallel = 0;
     int three_layer_paths = 0;
     for (const Element &e : chain.elements) {

@@ -52,9 +52,8 @@ TEST(DpKernel, RandomSeriesParallelMatchesLegacyBitExact)
         const core::TypeRestrictions allowed =
             randomRestrictions(rng, problem.condensed().size());
 
-        const core::ChainDpResult fast = core::solveChainDp(
-            problem.condensed(), problem.chain(), problem.baseDims(),
-            model, allowed);
+        core::DpKernel kernel(problem.dpStructure(), problem.baseDims());
+        const core::ChainDpResult fast = kernel.solve(model, allowed);
         const core::ChainDpResult reference = core::legacy::solveChainDp(
             problem.condensed(), problem.chain(), problem.baseDims(),
             model, allowed);
@@ -73,8 +72,7 @@ TEST(DpKernel, ReusedKernelMatchesFreshLegacySolvesAcrossAlphas)
     core::CostModelConfig config;
     core::PairCostModel model({2e14, 3e9}, {1e14, 8e9}, config);
 
-    core::DpKernel kernel(problem.condensed(), problem.chain(),
-                          problem.baseDims());
+    core::DpKernel kernel(problem.dpStructure(), problem.baseDims());
     const core::TypeRestrictions unrestricted =
         core::unrestrictedTypes(problem.condensed());
     for (double alpha : {0.5, 0.66, 0.125, 0.9, 0.31}) {
@@ -103,8 +101,8 @@ TEST(DpKernel, RatioTablesMatchLegacySolversBitExact)
         const core::PartitionProblem problem(
             randomSeriesParallel(rng, 1000 + trial));
         core::PairCostModel model = randomModel(rng);
-        const core::ChainDpResult dp = core::solveChainDp(
-            problem.condensed(), problem.chain(), problem.baseDims(),
+        core::DpKernel kernel(problem.dpStructure(), problem.baseDims());
+        const core::ChainDpResult dp = kernel.solve(
             model, core::unrestrictedTypes(problem.condensed()));
 
         const core::RatioCostTables tables(problem.condensed(),

@@ -13,7 +13,8 @@
 #include "core/brute_force.h"
 #include "core/chain_dp.h"
 #include "core/condensed_graph.h"
-#include "core/segment.h"
+#include "core/dp_kernel.h"
+#include "core/hierarchical_solver.h"
 #include "graph/graph.h"
 #include "util/rng.h"
 
@@ -112,21 +113,27 @@ randomRestrictions(Rng &rng, const CondensedGraph &graph)
     return allowed;
 }
 
+/** One DP solve of @p problem at its unscaled dims. */
+ChainDpResult
+solveDp(const PartitionProblem &problem, const PairCostModel &cost,
+        const TypeRestrictions &allowed)
+{
+    DpKernel kernel(problem.dpStructure(), problem.baseDims());
+    return kernel.solve(cost, allowed);
+}
+
 void
 expectDpMatchesBruteForce(const graph::Graph &model, Rng &rng)
 {
-    const CondensedGraph condensed(model);
-    const Chain chain = decomposeSeriesParallel(condensed);
-    std::vector<LayerDims> dims;
-    for (const CondensedNode &n : condensed.nodes())
-        dims.push_back(n.dims);
+    const PartitionProblem problem(model);
+    const CondensedGraph &condensed = problem.condensed();
+    const std::vector<LayerDims> &dims = problem.baseDims();
 
     const CostModelConfig config = randomConfig(rng);
     const PairCostModel cost = randomModel(rng, config);
     const TypeRestrictions allowed = randomRestrictions(rng, condensed);
 
-    const ChainDpResult dp =
-        solveChainDp(condensed, chain, dims, cost, allowed);
+    const ChainDpResult dp = solveDp(problem, cost, allowed);
     const BruteForceResult bf =
         bruteForceSearch(condensed, dims, cost, allowed);
 
@@ -166,17 +173,15 @@ TEST(ChainDp, SingleLayerPicksCheapestIntra)
     auto x = g.addInput("data", graph::TensorShape(64, 2));
     g.addFullyConnected("fc", x, 128);
 
-    const CondensedGraph condensed(g);
-    const Chain chain = decomposeSeriesParallel(condensed);
-    const std::vector<LayerDims> dims{condensed.node(0).dims};
+    const PartitionProblem problem(g);
 
     CostModelConfig config;
     config.includeCompute = false;
     PairCostModel cost({1e6, 10.0}, {1e6, 10.0}, config);
     cost.setAlpha(0.5);
 
-    const ChainDpResult dp = solveChainDp(
-        condensed, chain, dims, cost, unrestrictedTypes(condensed));
+    const ChainDpResult dp = solveDp(
+        problem, cost, unrestrictedTypes(problem.condensed()));
     // A(W)=256, A(F')=64*128, A(E)=64*2=128 -> Type-III is cheapest.
     EXPECT_EQ(dp.types[0], PartitionType::TypeIII);
 }
@@ -192,18 +197,14 @@ TEST(ChainDp, FreeTransitionsAreExploited)
     x = g.addFullyConnected("fc1", x, 512);
     g.addFullyConnected("fc2", x, 512);
 
-    const CondensedGraph condensed(g);
-    const Chain chain = decomposeSeriesParallel(condensed);
-    std::vector<LayerDims> dims;
-    for (const CondensedNode &n : condensed.nodes())
-        dims.push_back(n.dims);
+    const PartitionProblem problem(g);
 
     CostModelConfig config;
     config.includeCompute = false;
     PairCostModel cost({1e6, 10.0}, {1e6, 10.0}, config);
     cost.setAlpha(0.5);
-    const ChainDpResult dp = solveChainDp(
-        condensed, chain, dims, cost, unrestrictedTypes(condensed));
+    const ChainDpResult dp = solveDp(
+        problem, cost, unrestrictedTypes(problem.condensed()));
     // A(W) = 512*512 dominates A(F') = 4*512: model parallelism wins,
     // and the II->III transition between the layers is free.
     EXPECT_NE(dp.types[0], PartitionType::TypeI);
@@ -215,18 +216,13 @@ TEST(ChainDp, RestrictionsAreHonored)
 {
     Rng rng(7);
     const graph::Graph model = randomForkJoin(rng, 2);
-    const CondensedGraph condensed(model);
-    const Chain chain = decomposeSeriesParallel(condensed);
-    std::vector<LayerDims> dims;
-    for (const CondensedNode &n : condensed.nodes())
-        dims.push_back(n.dims);
+    const PartitionProblem problem(model);
 
-    TypeRestrictions only_one(condensed.size(),
+    TypeRestrictions only_one(problem.condensed().size(),
                               {PartitionType::TypeII});
     PairCostModel cost({1e6, 10.0}, {1e6, 10.0}, CostModelConfig{});
     cost.setAlpha(0.5);
-    const ChainDpResult dp =
-        solveChainDp(condensed, chain, dims, cost, only_one);
+    const ChainDpResult dp = solveDp(problem, cost, only_one);
     for (PartitionType t : dp.types)
         EXPECT_EQ(t, PartitionType::TypeII);
 }

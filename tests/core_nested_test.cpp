@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force.h"
+#include "core/dp_kernel.h"
 #include "core/hierarchical_solver.h"
 #include "hw/hierarchy.h"
 #include "sim/training_sim.h"
@@ -81,9 +82,8 @@ TEST(Nested, DpMatchesBruteForce)
         model.setAlpha(rng.uniformDouble(0.1, 0.9));
         const auto allowed =
             unrestrictedTypes(problem.condensed());
-        const auto dp =
-            solveChainDp(problem.condensed(), problem.chain(),
-                         problem.baseDims(), model, allowed);
+        DpKernel kernel(problem.dpStructure(), problem.baseDims());
+        const auto dp = kernel.solve(model, allowed);
         const auto bf = bruteForceSearch(problem.condensed(),
                                          problem.baseDims(), model,
                                          allowed);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force.h"
+#include "core/dp_kernel.h"
 #include "core/hierarchical_solver.h"
 #include "core/plan_evaluator.h"
 #include "hw/hierarchy.h"
@@ -48,15 +49,12 @@ TEST(Property, LargerSearchSpaceNeverCostsMore)
 
         core::TypeRestrictions two(problem.condensed().size(),
                                    {PT::TypeI, PT::TypeII});
-        const double cost_two =
-            core::solveChainDp(problem.condensed(), problem.chain(),
-                               problem.baseDims(), model, two)
-                .cost;
+        core::DpKernel kernel(problem.dpStructure(), problem.baseDims());
+        const double cost_two = kernel.solve(model, two).cost;
         const double cost_three =
-            core::solveChainDp(problem.condensed(), problem.chain(),
-                               problem.baseDims(), model,
-                               core::unrestrictedTypes(
-                                   problem.condensed()))
+            kernel
+                .solve(model,
+                       core::unrestrictedTypes(problem.condensed()))
                 .cost;
         EXPECT_LE(cost_three, cost_two * (1 + 1e-12));
     }
@@ -72,10 +70,9 @@ TEST(Property, DpCostDecreasesMonotonicallyInBandwidth)
                                   {2e14, link_scale * 2e9},
                                   core::CostModelConfig{});
         model.setAlpha(0.4);
-        return core::solveChainDp(
-                   problem.condensed(), problem.chain(),
-                   problem.baseDims(), model,
-                   core::unrestrictedTypes(problem.condensed()))
+        core::DpKernel kernel(problem.dpStructure(), problem.baseDims());
+        return kernel
+            .solve(model, core::unrestrictedTypes(problem.condensed()))
             .cost;
     };
     double previous = solve(0.5);
@@ -176,10 +173,8 @@ TEST(Property, BruteForceAgreesWithDpOnRandomMlps)
         const auto allowed =
             core::unrestrictedTypes(problem.condensed());
 
-        const auto dp = core::solveChainDp(problem.condensed(),
-                                           problem.chain(),
-                                           problem.baseDims(), model,
-                                           allowed);
+        core::DpKernel kernel(problem.dpStructure(), problem.baseDims());
+        const auto dp = kernel.solve(model, allowed);
         const auto bf = core::bruteForceSearch(problem.condensed(),
                                                problem.baseDims(),
                                                model, allowed);

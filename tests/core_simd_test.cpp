@@ -156,8 +156,8 @@ TEST(Simd, TablesBatchSweepMatchesSequentialSideTotals)
         const core::PartitionProblem problem(
             randomSeriesParallel(rng, 4000 + trial));
         core::PairCostModel model = randomModel(rng);
-        const core::ChainDpResult dp = core::solveChainDp(
-            problem.condensed(), problem.chain(), problem.baseDims(),
+        core::DpKernel kernel(problem.dpStructure(), problem.baseDims());
+        const core::ChainDpResult dp = kernel.solve(
             model, core::unrestrictedTypes(problem.condensed()));
         const core::RatioCostTables tables(problem.condensed(),
                                            problem.baseDims(), model,
@@ -188,8 +188,8 @@ TEST(Simd, ExactMultisectionMatchesPerAlphaBisection)
         const core::PartitionProblem problem(
             randomSeriesParallel(rng, 5000 + trial));
         core::PairCostModel model = randomModel(rng);
-        const core::ChainDpResult dp = core::solveChainDp(
-            problem.condensed(), problem.chain(), problem.baseDims(),
+        core::DpKernel kernel(problem.dpStructure(), problem.baseDims());
+        const core::ChainDpResult dp = kernel.solve(
             model, core::unrestrictedTypes(problem.condensed()));
         const core::RatioCostTables tables(problem.condensed(),
                                            problem.baseDims(), model,
@@ -248,7 +248,7 @@ TEST(Simd, ZooAndTransformerPlansCertificatesMatchForcedScalar)
     }
 }
 
-TEST(Simd, SharedDpStructureMatchesCompatCtor)
+TEST(Simd, KernelsSharingOneStructureMatchFreshKernels)
 {
     util::Rng rng(2468);
     const core::PartitionProblem problem(randomSeriesParallel(rng, 7));
@@ -256,15 +256,15 @@ TEST(Simd, SharedDpStructureMatchesCompatCtor)
     const core::TypeRestrictions allowed =
         core::unrestrictedTypes(problem.condensed());
 
-    // The compat ctor compiles its own private structure; the shared
-    // ctor borrows the problem's. Same solves, same bits.
-    core::DpKernel owned(problem.condensed(), problem.chain(),
-                         problem.baseDims());
+    // Two long-lived kernels borrow the problem's structure and solve
+    // interleaved; a fresh kernel per alpha is the reference. Reused
+    // DP state must not leak between solves: same bits.
     core::DpKernel shared_a(problem.dpStructure(), problem.baseDims());
     core::DpKernel shared_b(problem.dpStructure(), problem.baseDims());
     for (double alpha : {0.5, 0.66, 0.125, 0.9}) {
         model.setAlpha(alpha);
-        const core::ChainDpResult ref = owned.solve(model, allowed);
+        core::DpKernel fresh(problem.dpStructure(), problem.baseDims());
+        const core::ChainDpResult ref = fresh.solve(model, allowed);
         const core::ChainDpResult a = shared_a.solve(model, allowed);
         const core::ChainDpResult b = shared_b.solve(model, allowed);
         EXPECT_EQ(ref.cost, a.cost) << "alpha " << alpha;

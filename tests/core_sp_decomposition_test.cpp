@@ -1,9 +1,12 @@
 /**
  * @file
  * Tests for the structural SP decomposition (graph/sp_decomposition.h)
- * and the SP-tree solver (core/sp_solver.h): decomposition shapes,
- * totality invariants, the randomized-DAG equivalence against the
- * 3^N brute-force oracle, and the AG009 exact-fallback bound.
+ * and for planning graphs outside the legacy chain shape ("SP mode"):
+ * decomposition shapes, totality invariants, the DP kernel against the
+ * 3^N brute-force oracle on random DAGs, nested branches that close at
+ * their parent's join, residual regions inside parallels, and the AG009
+ * exact-enumeration bound. The SpSolver suite holds the SP-mode solves,
+ * all through DpKernel over PartitionProblem.
  */
 
 #include <gtest/gtest.h>
@@ -13,12 +16,15 @@
 #include <vector>
 
 #include "core/brute_force.h"
+#include "core/dp_kernel.h"
 #include "core/hierarchical_solver.h"
-#include "core/sp_solver.h"
+#include "core/planner.h"
 #include "graph/sp_decomposition.h"
 #include "hw/hierarchy.h"
+#include "hw/topology.h"
 #include "sim/training_sim.h"
 #include "strategies/registry.h"
+#include "support/graph_gen.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -135,110 +141,124 @@ successorsOf(const core::CondensedGraph &condensed)
     return succs;
 }
 
-std::vector<core::LayerDims>
-dimsOf(const core::CondensedGraph &condensed)
-{
-    std::vector<core::LayerDims> dims;
-    dims.reserve(condensed.size());
-    for (const core::CondensedNode &node : condensed.nodes())
-        dims.push_back(node.dims);
-    return dims;
-}
-
 /**
- * A random single-source single-sink DAG rendered as layers: one fc
- * per vertex, multi-predecessor vertices joined through Add layers.
- * Small enough that the condensed graph stays within the brute-force
- * and residual-enumeration bounds.
+ * Solves @p problem once with a random cost model and random type
+ * restrictions and checks the result against the 3^N brute force: the
+ * cost is the optimum, and it is the cost of the returned assignment.
  */
-graph::Graph
-randomDagModel(util::Rng &rng, int vertices)
+void
+expectKernelMatchesBruteForce(const core::PartitionProblem &problem,
+                              util::Rng &rng, const std::string &where)
 {
-    std::vector<std::vector<int>> preds(
-        static_cast<std::size_t>(vertices));
-    for (int v = 1; v < vertices; ++v) {
-        preds[static_cast<std::size_t>(v)].push_back(
-            static_cast<int>(rng.uniformInt(0, v - 1)));
-        if (v > 1 && rng.chance(0.5)) {
-            const int second =
-                static_cast<int>(rng.uniformInt(0, v - 1));
-            auto &p = preds[static_cast<std::size_t>(v)];
-            if (second != p.front())
-                p.push_back(second);
-        }
+    const core::PairCostModel cost = testsupport::randomModel(rng);
+    const core::TypeRestrictions allowed = testsupport::randomRestrictions(
+        rng, problem.condensed().size());
+    core::DpKernel kernel(problem.dpStructure(), problem.baseDims());
+    const core::ChainDpResult dp = kernel.solve(cost, allowed);
+    const core::BruteForceResult bf = core::bruteForceSearch(
+        problem.condensed(), problem.baseDims(), cost, allowed);
+    EXPECT_NEAR(dp.cost, bf.cost, 1e-9 * (1.0 + bf.cost)) << where;
+    EXPECT_NEAR(core::evaluateAssignment(problem.condensed(),
+                                         problem.baseDims(), cost,
+                                         dp.types),
+                dp.cost, 1e-9 * (1.0 + dp.cost))
+        << where;
+    for (std::size_t v = 0; v < dp.types.size(); ++v) {
+        const auto &types = allowed[v];
+        EXPECT_NE(std::find(types.begin(), types.end(), dp.types[v]),
+                  types.end())
+            << where << " node " << v;
     }
-    // Route every dangling vertex into the sink so it stays single.
-    std::vector<bool> consumed(static_cast<std::size_t>(vertices));
-    for (int v = 1; v < vertices; ++v)
-        for (int p : preds[static_cast<std::size_t>(v)])
-            consumed[static_cast<std::size_t>(p)] = true;
-    for (int v = 0; v + 1 < vertices; ++v) {
-        auto &sink_preds = preds[static_cast<std::size_t>(vertices - 1)];
-        if (!consumed[static_cast<std::size_t>(v)] &&
-            std::find(sink_preds.begin(), sink_preds.end(), v) ==
-                sink_preds.end())
-            sink_preds.push_back(v);
-    }
-
-    graph::Graph g("random-dag");
-    const auto in = g.addInput("data", graph::TensorShape(8, 4, 1, 1));
-    std::vector<graph::LayerId> layer_of(
-        static_cast<std::size_t>(vertices));
-    layer_of[0] = g.addFullyConnected("v0", in, 4);
-    for (int v = 1; v < vertices; ++v) {
-        const auto &p = preds[static_cast<std::size_t>(v)];
-        graph::LayerId operand = layer_of[static_cast<std::size_t>(
-            p.front())];
-        for (std::size_t j = 1; j < p.size(); ++j)
-            operand = g.addAdd(
-                "j" + std::to_string(v) + "_" + std::to_string(j),
-                operand, layer_of[static_cast<std::size_t>(p[j])]);
-        layer_of[static_cast<std::size_t>(v)] = g.addFullyConnected(
-            "v" + std::to_string(v), operand, 4);
-    }
-    return g;
 }
 
 TEST(SpSolver, MatchesBruteForceOnRandomDags)
 {
-    // The §5.2 composition over the decomposition tree (with exact
-    // enumeration inside residual regions) must reproduce the 3^N
-    // optimum of the shared objective on arbitrary DAG shapes.
+    // The flattened §5.2 composition (with exact enumeration inside
+    // residual regions) must reproduce the 3^N optimum of the shared
+    // objective on arbitrary DAG shapes, chain-shaped or not.
     util::Rng rng(20260807);
-    for (int trial = 0; trial < 30; ++trial) {
-        const graph::Graph model = randomDagModel(
-            rng, static_cast<int>(rng.uniformInt(3, 6)));
-        const core::CondensedGraph condensed(model);
-        const SpTree tree =
-            graph::decomposeSpTree(successorsOf(condensed));
-        expectTotalOwnership(tree,
-                             static_cast<int>(condensed.size()));
-
-        const std::vector<core::LayerDims> dims = dimsOf(condensed);
-        core::PairCostModel cost(
-            {rng.uniformDouble(1e12, 1e15),
-             rng.uniformDouble(1e8, 1e11)},
-            {rng.uniformDouble(1e12, 1e15),
-             rng.uniformDouble(1e8, 1e11)},
-            core::CostModelConfig{});
-        cost.setAlpha(rng.uniformDouble(0.2, 0.8));
-        const core::TypeRestrictions allowed =
-            core::unrestrictedTypes(condensed);
-
-        const core::SpSolver solver(condensed, tree, dims);
-        const core::ChainDpResult sp = solver.solve(cost, allowed);
-        const core::BruteForceResult bf = core::bruteForceSearch(
-            condensed, dims, cost, allowed);
-
-        EXPECT_NEAR(sp.cost, bf.cost, 1e-9 * (1.0 + bf.cost))
-            << "trial " << trial << " (" << condensed.size()
-            << " condensed nodes, "
-            << (tree.seriesParallel() ? "sp" : "residual") << ')';
-        EXPECT_NEAR(core::evaluateAssignment(condensed, dims, cost,
-                                             sp.types),
-                    sp.cost, 1e-9 * (1.0 + sp.cost))
-            << "trial " << trial;
+    int sp_mode = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+        const graph::Graph model = testsupport::randomDag(
+            rng, static_cast<int>(rng.uniformInt(3, 7)));
+        const core::PartitionProblem problem(model);
+        expectTotalOwnership(
+            graph::decomposeSpTree(successorsOf(problem.condensed())),
+            static_cast<int>(problem.condensed().size()));
+        sp_mode += !problem.hasChain();
+        expectKernelMatchesBruteForce(
+            problem, rng,
+            "trial " + std::to_string(trial) + " (" +
+                std::to_string(problem.condensed().size()) +
+                " condensed nodes, " +
+                (problem.hasChain() ? "chain" : "sp") + ')');
     }
+    EXPECT_GT(sp_mode, 10);
+}
+
+/**
+ * A nested fork that closes at its parent's join: a forks to b and c,
+ * b forks to d and e, and d, e and c all meet at one concat.
+ */
+graph::Graph
+sharedJoinModel()
+{
+    graph::Graph g("shared-join");
+    const auto in = g.addInput("data", graph::TensorShape(8, 4, 1, 1));
+    const auto a = g.addFullyConnected("a", in, 4);
+    const auto b = g.addFullyConnected("b", a, 4);
+    const auto c = g.addFullyConnected("c", a, 4);
+    const auto d = g.addFullyConnected("d", b, 4);
+    const auto e = g.addFullyConnected("e", b, 4);
+    const auto join = g.addConcat(
+        "join", std::vector<graph::LayerId>{d, e, c});
+    g.addFullyConnected("head", join, 4);
+    return g;
+}
+
+TEST(SpSolver, SharedJoinMatchesBruteForce)
+{
+    const core::PartitionProblem problem(sharedJoinModel());
+    EXPECT_FALSE(problem.hasChain());
+    EXPECT_EQ(problem.dpStructure().maxResidualSize(), 0u);
+    util::Rng rng(515);
+    for (int trial = 0; trial < 20; ++trial)
+        expectKernelMatchesBruteForce(problem, rng,
+                                      "trial " + std::to_string(trial));
+}
+
+/**
+ * A residual region as one branch of a parallel: the bridge of
+ * bridgeModel between a and the final concat, beside a second branch
+ * through h.
+ */
+graph::Graph
+residualBranchModel()
+{
+    graph::Graph g("residual-branch");
+    const auto in = g.addInput("data", graph::TensorShape(8, 4, 1, 1));
+    const auto a = g.addFullyConnected("a", in, 4);
+    const auto b = g.addFullyConnected("b", a, 4);
+    const auto c = g.addFullyConnected("c", a, 4);
+    const auto d = g.addAdd("d", b, c);
+    const auto e = g.addFullyConnected("e", c, 4);
+    const auto f = g.addFullyConnected("f", d, 4);
+    const auto h = g.addFullyConnected("h", a, 4);
+    const auto join = g.addConcat(
+        "join", std::vector<graph::LayerId>{e, f, h});
+    g.addFullyConnected("head", join, 4);
+    return g;
+}
+
+TEST(SpSolver, ResidualBranchMatchesBruteForce)
+{
+    const core::PartitionProblem problem(residualBranchModel());
+    EXPECT_FALSE(problem.hasChain());
+    EXPECT_EQ(problem.dpStructure().maxResidualSize(), 5u);
+    util::Rng rng(616);
+    for (int trial = 0; trial < 20; ++trial)
+        expectKernelMatchesBruteForce(problem, rng,
+                                      "trial " + std::to_string(trial));
 }
 
 TEST(SpSolver, BridgePlansEndToEnd)
@@ -248,7 +268,7 @@ TEST(SpSolver, BridgePlansEndToEnd)
     const graph::Graph model = bridgeModel();
     const core::PartitionProblem problem(model);
     EXPECT_FALSE(problem.hasChain());
-    EXPECT_FALSE(problem.spTree().seriesParallel());
+    EXPECT_GT(problem.dpStructure().maxResidualSize(), 0u);
 
     const hw::Hierarchy hier(hw::AcceleratorGroup(
         {hw::GroupSlice{hw::tpuV2(), 2},
@@ -280,49 +300,60 @@ ladderModel(int rungs)
     return g;
 }
 
+/** Expects @p fn to throw a ConfigError carrying AG009. */
+template <typename Fn>
+void
+expectAg009(Fn &&fn, const std::string &where)
+{
+    try {
+        fn();
+        FAIL() << "expected AG009 from " << where;
+    } catch (const util::ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("AG009"), std::string::npos)
+            << where << ": " << e.what();
+    }
+}
+
 TEST(SpSolver, OversizedResidualFailsWithStableDiagnostic)
 {
-    // Past kResidualExactLimit the solver must refuse up front with
-    // AG009 — never fall back to a silently approximate plan.
+    // Past kResidualExactLimit planning must refuse up front with
+    // AG009 — never fall back to a silently approximate plan. The
+    // problem refuses at construction, so does the Planner facade.
     const graph::Graph model = ladderModel(5);
     const core::CondensedGraph condensed(model);
-    const SpTree tree =
-        graph::decomposeSpTree(successorsOf(condensed));
-    ASSERT_GT(tree.maxResidualSize(), core::kResidualExactLimit);
+    ASSERT_GT(graph::decomposeSpTree(successorsOf(condensed))
+                  .maxResidualSize(),
+              core::kResidualExactLimit);
 
-    const std::vector<core::LayerDims> dims = dimsOf(condensed);
-    try {
-        const core::SpSolver solver(condensed, tree, dims);
-        FAIL() << "expected AG009 for a residual of "
-               << tree.maxResidualSize();
-    } catch (const util::ConfigError &e) {
-        EXPECT_NE(std::string(e.what()).find("AG009"),
-                  std::string::npos)
-            << e.what();
-    }
+    expectAg009([&] { const core::PartitionProblem problem(model); },
+                "PartitionProblem");
+    expectAg009(
+        [&] {
+            Planner planner;
+            planner.plan(PlanRequest(model, hw::parseArraySpec("tpu-v3:2")));
+        },
+        "Planner::plan");
 }
 
 TEST(SpSolver, LadderWithinBoundStillMatchesOracle)
 {
     // The same ladder one rung shorter sits inside the bound: 8
     // internal condensed nodes enumerate exactly.
-    const graph::Graph model = ladderModel(4);
-    const core::CondensedGraph condensed(model);
-    const SpTree tree =
-        graph::decomposeSpTree(successorsOf(condensed));
-    ASSERT_FALSE(tree.seriesParallel());
-    ASSERT_LE(tree.maxResidualSize(), core::kResidualExactLimit);
+    const core::PartitionProblem problem(ladderModel(4));
+    ASSERT_FALSE(problem.hasChain());
+    ASSERT_EQ(problem.dpStructure().maxResidualSize(), 8u);
 
-    const std::vector<core::LayerDims> dims = dimsOf(condensed);
     core::PairCostModel cost({1e14, 1e10}, {2e14, 5e9},
                              core::CostModelConfig{});
     cost.setAlpha(0.4);
     const core::TypeRestrictions allowed =
-        core::unrestrictedTypes(condensed);
-    const core::SpSolver solver(condensed, tree, dims);
-    const double sp = solver.solve(cost, allowed).cost;
-    const double bf =
-        core::bruteForceSearch(condensed, dims, cost, allowed).cost;
+        core::unrestrictedTypes(problem.condensed());
+    core::DpKernel kernel(problem.dpStructure(), problem.baseDims());
+    const double sp = kernel.solve(cost, allowed).cost;
+    const double bf = core::bruteForceSearch(problem.condensed(),
+                                             problem.baseDims(), cost,
+                                             allowed)
+                          .cost;
     EXPECT_NEAR(sp, bf, 1e-9 * (1.0 + bf));
 }
 

@@ -1,15 +1,16 @@
 /**
  * @file
  * Shared randomized-input generators for solver tests: series-parallel
- * model graphs (residual and inception-style blocks), random pair cost
- * models, and random type restrictions. Extracted from
- * core_dp_kernel_test so the certificate tests exercise the same input
- * distribution the kernel byte-identity tests pin down.
+ * model graphs (residual and inception-style blocks), arbitrary DAGs,
+ * random pair cost models, and random type restrictions. Extracted
+ * from core_dp_kernel_test so the certificate tests exercise the same
+ * input distribution the kernel byte-identity tests pin down.
  */
 
 #ifndef ACCPAR_TESTS_SUPPORT_GRAPH_GEN_H
 #define ACCPAR_TESTS_SUPPORT_GRAPH_GEN_H
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -90,6 +91,60 @@ randomSeriesParallel(util::Rng &rng, int trial)
     cur = g.addGlobalAvgPool("gap", cur);
     cur = g.addFullyConnected("fc", cur, rng.uniformInt(8, 64));
     g.addSoftmax("softmax", cur);
+    return g;
+}
+
+/**
+ * A random single-source single-sink DAG rendered as layers: one fc
+ * per vertex, multi-predecessor vertices joined through Add layers.
+ * Any shape arises — chains, nested and shared-join fork/joins, and
+ * non-series-parallel regions.
+ */
+inline graph::Graph
+randomDag(util::Rng &rng, int vertices)
+{
+    std::vector<std::vector<int>> preds(
+        static_cast<std::size_t>(vertices));
+    for (int v = 1; v < vertices; ++v) {
+        preds[static_cast<std::size_t>(v)].push_back(
+            static_cast<int>(rng.uniformInt(0, v - 1)));
+        if (v > 1 && rng.chance(0.5)) {
+            const int second =
+                static_cast<int>(rng.uniformInt(0, v - 1));
+            auto &p = preds[static_cast<std::size_t>(v)];
+            if (second != p.front())
+                p.push_back(second);
+        }
+    }
+    // Route every dangling vertex into the sink so it stays single.
+    std::vector<bool> consumed(static_cast<std::size_t>(vertices));
+    for (int v = 1; v < vertices; ++v)
+        for (int p : preds[static_cast<std::size_t>(v)])
+            consumed[static_cast<std::size_t>(p)] = true;
+    for (int v = 0; v + 1 < vertices; ++v) {
+        auto &sink_preds = preds[static_cast<std::size_t>(vertices - 1)];
+        if (!consumed[static_cast<std::size_t>(v)] &&
+            std::find(sink_preds.begin(), sink_preds.end(), v) ==
+                sink_preds.end())
+            sink_preds.push_back(v);
+    }
+
+    graph::Graph g("random-dag");
+    const auto in = g.addInput("data", graph::TensorShape(8, 4, 1, 1));
+    std::vector<graph::LayerId> layer_of(
+        static_cast<std::size_t>(vertices));
+    layer_of[0] = g.addFullyConnected("v0", in, 4);
+    for (int v = 1; v < vertices; ++v) {
+        const auto &p = preds[static_cast<std::size_t>(v)];
+        graph::LayerId operand = layer_of[static_cast<std::size_t>(
+            p.front())];
+        for (std::size_t j = 1; j < p.size(); ++j)
+            operand = g.addAdd(
+                "j" + std::to_string(v) + "_" + std::to_string(j),
+                operand, layer_of[static_cast<std::size_t>(p[j])]);
+        layer_of[static_cast<std::size_t>(v)] = g.addFullyConnected(
+            "v" + std::to_string(v), operand, 4);
+    }
     return g;
 }
 
