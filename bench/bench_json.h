@@ -9,7 +9,7 @@
  *   {
  *     "schema": "accpar-bench-v1",
  *     "bench": "<name>",
- *     "context": {"simd_variant": "<kernel>", "simd_lanes": number},
+ *     "context": {"simd_variant": "scalar"},
  *     "rows": [ {"name": "<row>", "metrics": {"<metric>": number}} ]
  *   }
  *
@@ -17,8 +17,8 @@
  * without scraping tables. Row order is insertion order; metric keys
  * within a row are sorted (util::Json objects are ordered maps), which
  * keeps the files byte-stable for identical results. The context block
- * records which batch-kernel backend (DESIGN.md §17) produced the
- * numbers so dashboards never compare across backends silently.
+ * names the solvers' arithmetic backend, as the end-to-end bench's
+ * context does; it is always "scalar".
  */
 
 #ifndef ACCPAR_BENCH_BENCH_JSON_H
@@ -64,8 +64,6 @@ class BenchReport
         util::Json context = util::Json::Object{};
         context["simd_variant"] =
             std::string(core::batchKernelVariantName());
-        context["simd_lanes"] =
-            static_cast<double>(core::batchKernelLanes());
         doc["context"] = std::move(context);
         util::Json rows = util::Json::Array{};
         for (const auto &[row_name, metrics] : _rows) {

@@ -1,129 +1,22 @@
 /**
  * @file
- * Dispatched batch kernels of the DP and ratio solvers (DESIGN.md §17).
- *
- * Two data-parallel primitives back the vectorized solve path:
- *
- *  - candidates9: the structure-of-arrays relaxation step of the chain
- *    DP — all nine (target type, source type) candidate costs of one
- *    chain element, computed as (prev + trans) + node per lane from a
- *    to-major transition column block (see DpKernel::solveChain).
- *  - ratioBothSides: the batched alpha sweep of the ratio solver — one
- *    pass over the alpha-independent RatioCostTables term arrays
- *    evaluates T_left(alpha) and T_right(alpha) for n alpha candidates
- *    at once (lanes = alphas), replacing per-alpha re-walks.
- *
- * Backends share one contract: per lane, every operation is the exact
- * IEEE-754 binary64 sequence the scalar reference performs, in the same
- * order, so results are bit-identical across scalar/AVX2/NEON and the
- * solver's plans and certificates do not depend on the selected
- * backend. Selection is a cheap runtime dispatch: the AVX2 table is
- * linked in only when the build enables ACCPAR_SIMD on x86-64 and used
- * only when the CPU reports the feature; tests and benches can force
- * the scalar table to compare backends in-process.
+ * Name of the solvers' arithmetic backend, recorded as `simd_variant`
+ * in the context block of every bench report. The DP and ratio solvers
+ * have a single implementation in plain scalar binary64 arithmetic, so
+ * the name is constant.
  */
 
 #ifndef ACCPAR_CORE_BATCH_KERNELS_H
 #define ACCPAR_CORE_BATCH_KERNELS_H
 
-#include <cstddef>
-#include <cstdint>
-
 namespace accpar::core {
 
-/**
- * Borrowed structure-of-arrays view of one RatioCostTables instance:
- * parallel per-term arrays plus the alpha-independent configuration.
- * All pointers remain owned by the tables and must outlive the call.
- */
-struct RatioTermsView
+/** Backend tag reported in bench context blocks: always "scalar". */
+inline const char *
+batchKernelVariantName()
 {
-    /** Term kinds, mirroring RatioCostTables' accumulation cases. */
-    enum Kind : std::uint8_t
-    {
-        NodeComm = 0,     ///< communication objective node term
-        NodeTime = 1,     ///< time objective node term
-        EdgeBilinear = 2, ///< own*other*a edge term (twin phases)
-        EdgeOther = 3,    ///< other*a edge term (single phase)
-    };
-
-    const std::uint8_t *kind = nullptr;
-    const double *a = nullptr;      ///< elems / boundary coefficient
-    const double *aSide0 = nullptr; ///< NodeTime left-side constant
-    const double *aSide1 = nullptr; ///< NodeTime right-side constant
-    const double *flops = nullptr;  ///< NodeTime three-phase FLOPs
-    std::size_t count = 0;
-
-    bool time = true;           ///< objective is time (else comm)
-    bool includeCompute = true; ///< add the compute term per node
-    double bpe = 2.0;           ///< bytes per element
-    double link[2] = {0.0, 0.0};
-    double compute[2] = {0.0, 0.0};
-};
-
-/** One backend's kernel table; see activeBatchKernelOps(). */
-struct BatchKernelOps
-{
-    /** Backend tag reported in bench context blocks: "scalar",
-     *  "avx2" or "neon". */
-    const char *name = "scalar";
-    /** Vector width in doubles (1 for the scalar reference). */
-    int lanes = 1;
-
-    /**
-     * Writes the nine relaxation candidates of one chain element:
-     * cand[t * 3 + tt] = (prev[tt] + transT[t * 3 + tt]) + node[t].
-     * Vector backends read four doubles per column and write four per
-     * store; callers must provide prev readable through index 3,
-     * transT through index 9, and cand writable through index 9.
-     */
-    void (*candidates9)(const double *prev, const double *transT,
-                        const double *node, double *cand) = nullptr;
-
-    /**
-     * Evaluates both side totals for @p n alpha candidates in one pass
-     * over the term arrays: outLeft[i] = T_left(alphas[i]) and
-     * outRight[i] = T_right(alphas[i]), each bit-identical with the
-     * sequential RatioCostTables::sideTotal of that side and alpha.
-     * Accepts any n >= 0 and unaligned pointers.
-     */
-    void (*ratioBothSides)(const RatioTermsView &view,
-                           const double *alphas, std::size_t n,
-                           double *outLeft, double *outRight) = nullptr;
-};
-
-/** The always-available scalar reference table. */
-const BatchKernelOps &scalarBatchKernelOps();
-
-/**
- * The AVX2 table, or null when the build does not carry it (compiled
- * in core/batch_kernels_avx2.cpp under its own target flags; null in
- * ACCPAR_SIMD=OFF builds and on other architectures). Internal to the
- * dispatcher — callers use activeBatchKernelOps().
- */
-const BatchKernelOps *avx2BatchKernelOps();
-
-/**
- * The table the solvers should use right now: the widest backend the
- * build carries and the CPU supports, unless the scalar fallback is
- * forced. The choice only affects throughput, never results.
- */
-const BatchKernelOps &activeBatchKernelOps();
-
-/**
- * Forces (or releases) the scalar reference for subsequent
- * activeBatchKernelOps() calls; returns the previous setting. Used by
- * the bit-identity tests and the scalar-vs-SIMD bench arms. Also
- * settable from the environment: ACCPAR_SIMD=scalar|off|0 forces the
- * scalar table for the whole process.
- */
-bool setBatchKernelForceScalar(bool force);
-
-/** Name of the active backend ("scalar", "avx2", "neon"). */
-const char *batchKernelVariantName();
-
-/** Lane width of the active backend (1 for scalar). */
-int batchKernelLanes();
+    return "scalar";
+}
 
 } // namespace accpar::core
 

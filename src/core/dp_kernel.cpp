@@ -311,10 +311,8 @@ DpKernel::init()
 
     _rootState = makeState(*_structure._root);
     _nodeTable.assign(graph.size() * 3, 0.0);
-    // One trailing pad element keeps the batch kernel's four-wide
-    // column loads of the last block in bounds.
     const std::size_t residuals = _structure._residuals.size();
-    _edgeTableT.assign((edges.size() + residuals) * 9 + 1, 0.0);
+    _edgeTableT.assign((edges.size() + residuals) * 9, 0.0);
     _residualPick.assign(residuals * 9 * kResidualExactLimit, -1);
 }
 
@@ -552,43 +550,10 @@ DpKernel::solveChain(const CompiledChain &chain, ChainState &state,
         const double *prev_cost = state.cost.data() + (i - 1) * 3;
         double *cur_cost = state.cost.data() + i * 3;
         std::int8_t *cur_parent = state.parent.data() + i * 3;
-
-        if (!elem.in.isParallel()) {
-            // Edge or residual block: all nine (target, source)
-            // candidates in one batched pass over the to-major 3x3
-            // block. The kernel computes the exact scalar expression
-            // (prev + trans) + node per lane; cells the reduction
-            // below never reads (disallowed types, infinite
-            // predecessors) are computed into the scratch but
-            // discarded. The reduction keeps the scalar allowed-type
-            // iteration order and strict-< first-wins tie-break.
-            double cand[12];
-            _ops->candidates9(prev_cost,
-                              _edgeTableT.data() + elem.in.block * 9,
-                              _nodeTable.data() + elem.node * 3, cand);
-            for (PartitionType t : allowed[elem.node]) {
-                const int ti = partitionTypeIndex(t);
-                double best = kInf;
-                int best_tt = -1;
-                for (PartitionType tt : allowed[prev.node]) {
-                    const int tti = partitionTypeIndex(tt);
-                    if (prev_cost[tti] == kInf)
-                        continue;
-                    const double c = cand[ti * 3 + tti];
-                    if (c < best) {
-                        best = c;
-                        best_tt = tti;
-                    }
-                }
-                if (best_tt < 0)
-                    continue;
-                cur_cost[ti] = best;
-                cur_parent[ti] = static_cast<std::int8_t>(best_tt);
-            }
-            continue;
-        }
-
-        ParState &par = *state.pars[i];
+        // One loop for edge, residual and parallel transitions alike:
+        // (prev + trans) + node, reduced in the allowed-type order with
+        // the strict-< first-wins tie-break.
+        ParState *par = state.pars[i].get();
         for (PartitionType t : allowed[elem.node]) {
             const int ti = partitionTypeIndex(t);
             const double node_cost = _nodeTable[elem.node * 3 + ti];
@@ -598,9 +563,9 @@ DpKernel::solveChain(const CompiledChain &chain, ChainState &state,
                 const int tti = partitionTypeIndex(tt);
                 if (prev_cost[tti] == kInf)
                     continue;
-                const double trans =
-                    parallelTransition(elem.in, par, tti, ti);
-                const double cand = prev_cost[tti] + trans + node_cost;
+                const double cand =
+                    (prev_cost[tti] + transition(elem.in, par, tti, ti)) +
+                    node_cost;
                 if (cand < best) {
                     best = cand;
                     best_tt = tti;
@@ -678,7 +643,6 @@ DpKernel::solve(const PairCostModel &model,
     ACCPAR_REQUIRE(allowed.size() == graph.size(),
                    "type restriction size mismatch");
     _allowed = &allowed;
-    _ops = &activeBatchKernelOps();
 
     // Step 1: dense cost tables, restricted to the allowed types (the
     // DP never reads a disallowed entry). Same model entry points and

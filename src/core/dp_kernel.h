@@ -28,14 +28,13 @@
  *        allowed types; then minimize every residual region over its
  *        internal assignments by reading those two tables, into one
  *        more to-major block per region;
- *     2. run the DP as pure array arithmetic — the relaxation step of
- *        each element reached by an edge or residual block computes
- *        all nine (target, source) candidates through the dispatched
- *        batch kernel (structure-of-arrays over the 3x3 block, see
- *        core/batch_kernels.h and DESIGN.md §17) and reduces them in
- *        the scalar allowed-type order — recording per-(element, type)
- *        parent pointers instead of assignments, and solving each
- *        parallel branch once per feasible entry type;
+ *     2. run the DP as pure array arithmetic — one relaxation loop
+ *        per element, (prev + transition) + node in the allowed-type
+ *        order with a strict-< first-wins argmin, whether the
+ *        transition is a table block or a parallel region — recording
+ *        per-(element, type) parent pointers instead of assignments,
+ *        and solving each parallel branch once per feasible entry
+ *        type;
  *     3. reconstruct the winning assignment in one backtracking pass.
  *
  * The adaptive-ratio loop of the hierarchical solver reuses one kernel
@@ -45,10 +44,8 @@
  * obtained through the same PairCostModel entry points as the original
  * chain DP (identical arguments, identical order of comparisons and
  * additions), so results are bit-identical to it — the property tests
- * assert this against the frozen legacy copy, and the batch-kernel
- * contract guarantees the vectorized candidates match the scalar
- * relaxation bit for bit. On every structure the result is the exact
- * minimum of evaluateAssignment.
+ * assert this against the frozen legacy copy. On every structure the
+ * result is the exact minimum of evaluateAssignment.
  */
 
 #ifndef ACCPAR_CORE_DP_KERNEL_H
@@ -60,7 +57,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/batch_kernels.h"
 #include "core/chain_dp.h"
 #include "core/condensed_graph.h"
 #include "core/cost_model.h"
@@ -335,14 +331,10 @@ class DpKernel
 
     /** Scratch filled per solve(). */
     const TypeRestrictions *_allowed = nullptr;
-    const BatchKernelOps *_ops = nullptr;
     std::vector<double> _nodeTable; ///< [node * 3 + t]
     /**
      * To-major transition table: [block * 9 + to * 3 + from] — one
-     * block per condensed edge, then one per residual region — with
-     * one extra trailing element so the batch kernel's four-wide
-     * column loads of the last block stay in bounds (the pad is
-     * written by no one after init and read only as a discarded lane).
+     * block per condensed edge, then one per residual region.
      */
     std::vector<double> _edgeTableT;
     /** Winning internal assignment per (residual, to * 3 + from),

@@ -369,11 +369,13 @@ solveHierarchy(const PartitionProblem &problem,
         // Certificates serialize the DP's evidence as Bellman rows
         // over the legacy chain shape; residual regions and branches
         // sharing their parent's join have no place in that record.
-        ACCPAR_REQUIRE(problem.hasChain(),
-                       "plan certificates require a chain-decomposable "
-                       "(series-parallel) model; "
-                           << problem.condensed().modelName()
-                           << " is solved by the SP-tree fallback");
+        if (!problem.hasChain())
+            throw util::ConfigError(
+                "[AG007] plan certificates are unavailable for model " +
+                problem.condensed().modelName() +
+                ": its fork/join structure has residual regions or "
+                "branches that share their parent's join (planning "
+                "without a certificate stays exact)");
         *context.certificate = PlanCertificate(
             options.strategyName, problem.condensed().modelName(),
             hierarchy.nodeCount(), problem.nodeNames(), options.cost,

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "core/batch_kernels.h"
 #include "core/chain_dp.h"
 #include "core/condensed_graph.h"
 #include "core/cost_model.h"
@@ -34,7 +33,7 @@ enum class RatioPolicy
     ComputeProportional,
     /** Eq. 10 linearized rebalance, iterated with the DP (AccPar). */
     PaperLinear,
-    /** Ternary search on the exact max(T_L, T_R) (ablation). */
+    /** Bisection for the alpha with T_L = T_R exactly (ablation). */
     ExactBalance,
 };
 
@@ -78,12 +77,6 @@ double sideTotalCost(const CondensedGraph &graph,
  * aggregate slope — is what makes the result bit-identical with
  * sideTotalCost, so the bisection of solveRatioExact takes exactly the
  * same branch at every step and plans stay byte-identical.
- *
- * The terms are stored structure-of-arrays (one parallel array per
- * coefficient, DESIGN.md §17) so sideTotalsBatch() can sweep many
- * alpha candidates through a single pass over the term arrays via the
- * dispatched batch kernels — one lane per alpha, each lane replaying
- * the sequential operation order bit for bit.
  */
 class RatioCostTables
 {
@@ -97,36 +90,27 @@ class RatioCostTables
      *  whose ratio is @p alpha. */
     double sideTotal(Side side, double alpha) const;
 
-    /**
-     * Batched alpha sweep: evaluates both sides for @p n candidates in
-     * one pass over the term arrays. outLeft[i] and outRight[i] are
-     * bit-identical with sideTotal(Side::Left/Right, alphas[i]).
-     * Pointers may be unaligned; n may be any count (the kernels pad
-     * internally, never storing padding lanes).
-     */
-    void sideTotalsBatch(const double *alphas, std::size_t n,
-                         double *outLeft, double *outRight) const;
-
-    /** Number of nonzero cost terms (bench/test introspection). */
-    std::size_t termCount() const { return _kind.size(); }
-
-    /** Borrowed structure-of-arrays view of the term storage for the
-     *  batch kernels. Callers that walk the terms many times (the
-     *  multisection loop) grab the view and the dispatched ops once
-     *  instead of paying sideTotalsBatch's per-call setup. Valid only
-     *  while these tables are alive. */
-    RatioTermsView view() const;
-
   private:
+    /** Term kinds, mirroring sideTotalCost's accumulation cases. */
+    enum Kind : std::uint8_t
+    {
+        NodeComm,     ///< communication objective node term
+        NodeTime,     ///< time objective node term
+        EdgeBilinear, ///< own*other*a edge term (twin phases)
+        EdgeOther,    ///< other*a edge term (single phase)
+    };
 
-    /** Structure-of-arrays term storage; kinds are
-     *  RatioTermsView::Kind values, coefficient arrays are parallel
-     *  to it (unused coefficients hold 0.0 for their kind). */
-    std::vector<std::uint8_t> _kind;
-    std::vector<double> _a;      ///< elems / boundary coefficient
-    std::vector<double> _aSide0; ///< NodeTime: left intra bytes / link
-    std::vector<double> _aSide1; ///< NodeTime: right intra bytes / link
-    std::vector<double> _flops;  ///< NodeTime: three-phase FLOPs
+    /** One nonzero cost term; coefficients its kind does not use hold
+     *  0.0. */
+    struct Term
+    {
+        Kind kind = NodeComm;
+        double a = 0.0;              ///< elems / boundary coefficient
+        double side[2] = {0.0, 0.0}; ///< NodeTime: intra bytes / link
+        double flops = 0.0;          ///< NodeTime: three-phase FLOPs
+    };
+
+    std::vector<Term> _terms;
 
     bool _time = true;
     bool _includeCompute = true;
@@ -151,17 +135,9 @@ double solveRatioLinear(const CondensedGraph &graph,
                         const std::vector<PartitionType> &types);
 
 /**
- * Exact balance: bisection for the alpha equalizing T_L(alpha) and
- * T_R(alpha) over the precomputed coefficient tables. When a vector
- * backend with at least three lanes is active, the 80 bisection steps
- * run two at a time as a batched multisection — each round evaluates
- * the midpoint and both depth-2 midpoints in one batched term pass —
- * with the candidate expressions formed exactly as sequential
- * bisection would form them. On narrower backends (the scalar
- * fallback, where the speculative third candidate is 1.5x extra work
- * instead of a spare lane) it runs the sequential per-alpha loop
- * instead. Either way the (lo, hi) trajectory, the returned alpha and
- * the bracket are bit-identical with solveRatioExactPerAlpha.
+ * Exact balance: sequential bisection, 80 steps, for the alpha
+ * equalizing T_L(alpha) and T_R(alpha) over the precomputed
+ * coefficient tables.
  */
 double solveRatioExact(const RatioCostTables &tables);
 
@@ -169,15 +145,6 @@ double solveRatioExact(const RatioCostTables &tables);
  *  @p bracket when non-null (for plan certificates). */
 double solveRatioExact(const RatioCostTables &tables,
                        RatioBracket *bracket);
-
-/**
- * The pre-batching reference: strictly sequential bisection, one
- * two-sided term pass per step. Kept as the bit-identity oracle for
- * solveRatioExact and as the per-alpha baseline arm of
- * bench_dp_kernel's sweep comparison.
- */
-double solveRatioExactPerAlpha(const RatioCostTables &tables,
-                               RatioBracket *bracket = nullptr);
 
 /** Convenience wrapper building the tables from @p model (whose own
  *  ratio does not influence the result). */

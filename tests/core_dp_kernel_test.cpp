@@ -9,7 +9,9 @@
  * legacy implementation exactly — EXPECT_EQ on doubles, not
  * EXPECT_NEAR. Randomized series-parallel graphs exercise residual
  * (identity-shortcut) and concat regions; the zoo models pin down the
- * real networks the paper evaluates.
+ * real networks the paper evaluates. Kernels sharing one DpStructure
+ * and the batched hierarchy solve are checked against fresh kernels
+ * and per-candidate solves the same way.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/certificate.h"
 #include "core/chain_dp.h"
 #include "core/cost_cache.h"
 #include "core/dp_kernel.h"
@@ -29,7 +32,9 @@
 #include "models/zoo.h"
 #include "support/graph_gen.h"
 #include "support/legacy_dp.h"
+#include "util/error.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -153,6 +158,82 @@ TEST(DpKernel, ZooPlansByteIdenticalToLegacy)
                 << core::ratioPolicyName(policy);
         }
     }
+}
+
+TEST(DpKernel, KernelsSharingOneStructureMatchFreshKernels)
+{
+    util::Rng rng(2468);
+    const core::PartitionProblem problem(randomSeriesParallel(rng, 7));
+    core::PairCostModel model = randomModel(rng);
+    const core::TypeRestrictions allowed =
+        core::unrestrictedTypes(problem.condensed());
+
+    // Two long-lived kernels borrow the problem's structure and solve
+    // interleaved; a fresh kernel per alpha is the reference. Reused
+    // DP state must not leak between solves: same bits.
+    core::DpKernel shared_a(problem.dpStructure(), problem.baseDims());
+    core::DpKernel shared_b(problem.dpStructure(), problem.baseDims());
+    for (double alpha : {0.5, 0.66, 0.125, 0.9}) {
+        model.setAlpha(alpha);
+        core::DpKernel fresh(problem.dpStructure(), problem.baseDims());
+        const core::ChainDpResult ref = fresh.solve(model, allowed);
+        const core::ChainDpResult a = shared_a.solve(model, allowed);
+        const core::ChainDpResult b = shared_b.solve(model, allowed);
+        EXPECT_EQ(ref.cost, a.cost) << "alpha " << alpha;
+        EXPECT_EQ(ref.types, a.types) << "alpha " << alpha;
+        EXPECT_EQ(ref.cost, b.cost) << "alpha " << alpha;
+        EXPECT_EQ(ref.types, b.types) << "alpha " << alpha;
+    }
+}
+
+TEST(DpKernel, SolveHierarchyBatchMatchesPerCandidateSolves)
+{
+    const core::PartitionProblem problem(
+        models::buildModel("resnet50", 64));
+    std::vector<hw::Hierarchy> candidates;
+    for (int levels : {2, 3, 4})
+        candidates.emplace_back(
+            hw::heterogeneousTpuArrayForLevels(levels));
+    std::vector<const hw::Hierarchy *> pointers;
+    for (const hw::Hierarchy &h : candidates)
+        pointers.push_back(&h);
+
+    core::SolverOptions options;
+    options.ratioPolicy = core::RatioPolicy::ExactBalance;
+
+    const std::vector<core::PartitionPlan> sequential =
+        core::solveHierarchyBatch(problem, pointers, options, {});
+
+    util::ThreadPool pool(4);
+    core::SolveContext pooled;
+    pooled.pool = &pool;
+    const std::vector<core::PartitionPlan> parallel =
+        core::solveHierarchyBatch(problem, pointers, options, pooled);
+
+    ASSERT_EQ(sequential.size(), candidates.size());
+    ASSERT_EQ(parallel.size(), candidates.size());
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const std::string reference =
+            core::planToJson(
+                core::solveHierarchy(problem, candidates[i], options),
+                candidates[i])
+                .dump();
+        EXPECT_EQ(reference,
+                  core::planToJson(sequential[i], candidates[i]).dump())
+            << "candidate " << i;
+        EXPECT_EQ(reference,
+                  core::planToJson(parallel[i], candidates[i]).dump())
+            << "candidate " << i;
+    }
+
+    // Certificate emission is per-solve evidence; the batch entry
+    // point must refuse a certificate-carrying context outright.
+    core::PlanCertificate cert;
+    core::SolveContext with_cert;
+    with_cert.certificate = &cert;
+    EXPECT_THROW(
+        core::solveHierarchyBatch(problem, pointers, options, with_cert),
+        util::ConfigError);
 }
 
 TEST(DpKernel, PlanBatchMatchesIndependentPlans)

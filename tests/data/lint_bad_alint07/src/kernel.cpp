@@ -1,4 +1,4 @@
-// Fixture: raw SIMD intrinsics outside util/simd.h.
+// Fixture: raw SIMD intrinsics in src/.
 #include <immintrin.h>
 
 namespace demo {
