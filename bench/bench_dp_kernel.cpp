@@ -5,11 +5,10 @@
  * pre-refactor implementation (tests/support/legacy_dp.*), on the full
  * adaptive-ratio hierarchical solve of the paper's networks.
  *
- * Both arms run sequentially (no thread pool) and without a memo cache
- * so the comparison isolates the kernel itself; a separate
- * cache-attached run of the flattened path reports the cost-cache hit
- * rate the Planner configuration would see. Plans are asserted
- * byte-identical between the arms before any timing is reported.
+ * Both arms run sequentially (no thread pool) and without a memo cache,
+ * as the Planner runs them, so the comparison isolates the kernel
+ * itself. Plans are asserted byte-identical between the arms before
+ * any timing is reported.
  *
  * Timing is interleaved A/B sampling: shared single-core runners show
  * 2-3x wall-clock drift across a bench run (host contention,
@@ -30,7 +29,6 @@
 #include <vector>
 
 #include "bench_json.h"
-#include "core/cost_cache.h"
 #include "core/hierarchical_solver.h"
 #include "core/plan_io.h"
 #include "hw/hierarchy.h"
@@ -128,8 +126,7 @@ main()
     };
 
     bench::BenchReport report("dp_kernel");
-    util::Table table({"row", "legacy ms", "flattened ms", "speedup",
-                       "cache hit rate"});
+    util::Table table({"row", "legacy ms", "flattened ms", "speedup"});
     bool regressed = false;
 
     for (const Row &row : rows) {
@@ -162,24 +159,12 @@ main()
         if (speedup < 1.0)
             regressed = true;
 
-        // The Planner attaches a memo cache; report the hit rate the
-        // flattened path reaches with one on a cold-to-warm run.
-        core::CostCache cache;
-        core::solveHierarchy(problem, hierarchy, options,
-                             core::SolveContext{nullptr, &cache});
-        const core::CostCacheStats stats = cache.stats();
-
         util::Json &metrics = report.addRow(row.name);
         metrics["legacy_ns_per_solve"] = legacy_ns;
         metrics["flattened_ns_per_solve"] = flat_ns;
         metrics["speedup"] = speedup;
-        metrics["cache_hits"] = static_cast<double>(stats.hits);
-        metrics["cache_misses"] = static_cast<double>(stats.misses);
-        metrics["cache_hit_rate"] = stats.hitRate();
 
-        table.addRow(row.name,
-                     {legacy_ns / 1e6, flat_ns / 1e6, speedup,
-                      stats.hitRate()},
+        table.addRow(row.name, {legacy_ns / 1e6, flat_ns / 1e6, speedup},
                      3);
     }
 

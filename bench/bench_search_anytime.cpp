@@ -124,9 +124,9 @@ main()
         metrics["improvements"] =
             static_cast<std::int64_t>(sa.improved);
         metrics["search_seconds"] = result.planSeconds;
-        // Oracle throughput: how many inner DP evaluations the
-        // speculative-lookahead batching (DESIGN.md §17) pushed
-        // through per wall-clock second of the whole plan call.
+        // Oracle throughput: inner DP evaluations (the baseline plus
+        // every scored candidate) per wall-clock second of the whole
+        // plan call.
         metrics["oracle_solves"] =
             static_cast<std::int64_t>(sa.oracleSolves);
         metrics["oracle_solves_per_sec"] =

@@ -1,13 +1,14 @@
 /**
  * @file
- * Memoization of inter/intra-layer cost-model terms.
+ * Opt-in memoization of inter/intra-layer cost-model terms.
  *
- * Hierarchical solves and strategy sweeps re-evaluate the same cost
- * terms many times: sibling subtrees of a homogeneous array see
- * identical (group rates, scaled dims, alpha) tuples, and every sweep
- * point of the Figure 8 hierarchy sweep embeds the smaller arrays'
- * solves as subtrees. A CostCache lets PairCostModel reuse those
- * evaluations across hierarchy nodes, strategies, and sweep points.
+ * No production path attaches a CostCache: a cost term is a handful
+ * of arithmetic operations, and on the measured traffic a lookup cost
+ * more than the computation it saved (DESIGN.md §7 item 8). The frozen
+ * tests/support/legacy_dp attaches one to its cost models, the
+ * end-to-end benchmark passes one through core::SolveContext::memo to
+ * report its counters, and DpKernel.AttachedCostCacheDoesNotChangePlans
+ * checks that an attached cache leaves plans unchanged.
  *
  * Keys are exact: a cache entry is a pure function of (context, node,
  * alpha bit pattern, dims/boundary bit patterns, partition type pair),
@@ -17,7 +18,7 @@
  * bit-identical to what recomputation would produce — caching (and the
  * thread interleaving of a parallel solve) can never change a plan.
  * Lookups are thread-safe via sharded locking; hit/miss counters are
- * exposed so sweeps can report reuse.
+ * exposed for the benchmark.
  */
 
 #ifndef ACCPAR_CORE_COST_CACHE_H

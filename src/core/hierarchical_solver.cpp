@@ -395,37 +395,4 @@ solveHierarchy(const graph::Graph &model, const hw::Hierarchy &hierarchy,
     return solveHierarchy(problem, hierarchy, options);
 }
 
-std::vector<PartitionPlan>
-solveHierarchyBatch(const PartitionProblem &problem,
-                    const std::vector<const hw::Hierarchy *> &hierarchies,
-                    const SolverOptions &options,
-                    const SolveContext &context)
-{
-    ACCPAR_REQUIRE(context.certificate == nullptr,
-                   "batched hierarchy solves do not emit certificates; "
-                   "re-solve the chosen candidate to emit one");
-    std::vector<PartitionPlan> plans(hierarchies.size());
-    const auto solveOne = [&](std::size_t i) {
-        ACCPAR_REQUIRE(hierarchies[i] != nullptr,
-                       "null hierarchy candidate in batch");
-        plans[i] =
-            solveHierarchy(problem, *hierarchies[i], options, context);
-    };
-    // Each candidate writes only its own plan slot, so candidates can
-    // run concurrently on top of the (already reentrant) sibling
-    // parallelism inside each solve.
-    if (context.pool && context.pool->concurrency() > 1 &&
-        hierarchies.size() > 1) {
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(hierarchies.size());
-        for (std::size_t i = 0; i < hierarchies.size(); ++i)
-            tasks.emplace_back([&, i] { solveOne(i); });
-        context.pool->run(std::move(tasks));
-    } else {
-        for (std::size_t i = 0; i < hierarchies.size(); ++i)
-            solveOne(i);
-    }
-    return plans;
-}
-
 } // namespace accpar::core

@@ -72,21 +72,24 @@ struct SolverOptions
 };
 
 /**
- * Shared execution resources for one solve, all optional. Both members
- * are non-owning; the Planner facade wires them up for callers.
+ * Shared execution resources for one solve, all optional and
+ * non-owning; the Planner facade wires up the pool for callers.
  *
  * - With a pool, sibling subtrees of the bi-partition hierarchy solve
  *   concurrently. The decisions of a subtree depend only on its
  *   ancestors' (type, ratio) choices, and every hierarchy node writes
  *   its own plan slot, so the result is bit-identical to the sequential
  *   solve regardless of thread count.
- * - With a memo cache, inter/intra-layer cost terms are reused across
- *   hierarchy nodes, strategies, and sweep points (see CostCache).
+ * - `memo` is an opt-in CostCache attached to every hierarchy node's
+ *   cost model; the plan is the same bits with or without it. No
+ *   production path sets it: the only callers are the end-to-end
+ *   benchmark's decomposed replay, which reports the cache counters,
+ *   and DpKernel.AttachedCostCacheDoesNotChangePlans.
  */
 struct SolveContext
 {
     util::ThreadPool *pool = nullptr; ///< null => fully sequential
-    CostCache *memo = nullptr;        ///< null => no cost memoization
+    CostCache *memo = nullptr;        ///< null => terms computed directly
     /**
      * When non-null, solveHierarchy re-initializes it for the run and
      * every internal hierarchy node records the evidence of its solve
@@ -122,7 +125,7 @@ class PartitionProblem
 
     /** Non-copyable and non-movable: the compiled DP structure keeps a
      *  reference into the condensed graph. Share problems by
-     *  reference (Planner::planBatch and solveHierarchyBatch do). */
+     *  reference (Planner::planBatch does). */
     PartitionProblem(const PartitionProblem &) = delete;
     PartitionProblem &operator=(const PartitionProblem &) = delete;
     ~PartitionProblem();
@@ -165,7 +168,7 @@ PartitionPlan solveHierarchy(const PartitionProblem &problem,
                              const hw::Hierarchy &hierarchy,
                              const SolverOptions &options);
 
-/** Solves with shared execution resources (thread pool, memo cache). */
+/** Solves with shared execution resources (see SolveContext). */
 PartitionPlan solveHierarchy(const PartitionProblem &problem,
                              const hw::Hierarchy &hierarchy,
                              const SolverOptions &options,
@@ -175,24 +178,6 @@ PartitionPlan solveHierarchy(const PartitionProblem &problem,
 PartitionPlan solveHierarchy(const graph::Graph &model,
                              const hw::Hierarchy &hierarchy,
                              const SolverOptions &options);
-
-/**
- * Solves @p problem against several hierarchy candidates in one call,
- * returning one plan per entry of @p hierarchies (in order). All
- * solves share the problem's compiled DP structure and the context's
- * memo cache; with a pool the candidates solve concurrently — each
- * candidate's plan is bit-identical to its own solveHierarchy call, so
- * batching only changes throughput. The search layer uses this to
- * score a lookahead set of annealing neighbors per oracle call.
- *
- * Certificate emission is per-solve evidence and is not batched:
- * @p context.certificate must be null (solve the winner again to emit).
- */
-std::vector<PartitionPlan>
-solveHierarchyBatch(const PartitionProblem &problem,
-                    const std::vector<const hw::Hierarchy *> &hierarchies,
-                    const SolverOptions &options,
-                    const SolveContext &context);
 
 /** The dimension scale factors a node's choice hands to a child group. */
 struct DimScales

@@ -45,10 +45,9 @@ evaluate(const core::PartitionProblem &problem,
 /**
  * The iteration's private Rng substream: a pure function of (seed,
  * iteration), so a proposal and its acceptance draw depend only on
- * the state they are proposed from and the iteration number — the
- * property that makes speculative lookahead exact. The golden-ratio
- * stride keeps the raw states apart; Rng's own SplitMix64 output
- * function decorrelates them.
+ * the state they are proposed from and the iteration number. The
+ * golden-ratio stride keeps the raw states apart; Rng's own
+ * SplitMix64 output function decorrelates them.
  */
 util::Rng
 iterationRng(std::uint64_t seed, int iteration)
@@ -57,26 +56,6 @@ iterationRng(std::uint64_t seed, int iteration)
                      0x9E3779B97F4A7C15ull *
                          (static_cast<std::uint64_t>(iteration) + 1));
 }
-
-/**
- * One speculative proposal of the lookahead window: everything the
- * sequential loop would have derived for this iteration from the
- * state it was gathered from, plus the Rng stream positioned after
- * the proposal draws so the Metropolis draw replays exactly.
- */
-struct Proposal
-{
-    int iteration = 0;
-    MoveKind kind{};
-    /** Engaged when proposeMove produced a candidate. */
-    std::optional<OuterState> state;
-    std::string signature;
-    /** Candidate's materialized hierarchy; disengaged on defects. */
-    std::optional<hw::Hierarchy> hierarchy;
-    util::Rng rng{0};
-    /** Filled by the batched oracle for entries with a hierarchy. */
-    std::optional<Evaluated> eval;
-};
 
 bool
 verifierClean(const core::PartitionProblem &problem,
@@ -191,155 +170,89 @@ AnnealingDriver::run(const core::SolveContext &context) const
         report.anytime.push_back(AnytimePoint{iteration, eval.cost});
     };
 
-    // Speculatively proposes the next `count` iterations from `from`
-    // (valid as long as no proposal in between is accepted) and scores
-    // every materializable candidate in one batched oracle call. The
-    // per-iteration Rng substreams make each entry exactly what the
-    // sequential loop would have derived at that iteration.
-    auto gather = [&](const OuterState &from, int first_iteration,
-                      int count) {
-        std::vector<Proposal> window;
-        window.reserve(static_cast<std::size_t>(count));
-        for (int k = 0; k < count; ++k) {
-            Proposal p;
-            p.iteration = first_iteration + k;
-            util::Rng rng = iterationRng(_options.seed, p.iteration);
-            MoveKind kind;
-            std::optional<OuterState> candidate =
-                proposeMove(from, rng, kind);
-            p.rng = rng; // stream positioned after the proposal draws
-            if (candidate) {
-                p.kind = kind;
-                p.signature = candidate->signature();
-                // Null moves are skipped before evaluation by the
-                // replay (as the sequential loop did), so don't spend
-                // an oracle slot on them.
-                if (p.signature != current_signature) {
-                    defects.clear();
-                    std::optional<hw::Hierarchy> hierarchy =
-                        candidate->toHierarchy(defects);
-                    if (hierarchy)
-                        p.hierarchy = std::move(*hierarchy);
-                }
-                p.state = std::move(*candidate);
-            }
-            window.push_back(std::move(p));
-        }
-
-        std::vector<const hw::Hierarchy *> hierarchies;
-        std::vector<std::size_t> owner;
-        for (std::size_t i = 0; i < window.size(); ++i) {
-            if (!window[i].hierarchy)
-                continue;
-            hierarchies.push_back(&*window[i].hierarchy);
-            owner.push_back(i);
-        }
-        if (!hierarchies.empty()) {
-            std::vector<core::PartitionPlan> plans =
-                core::solveHierarchyBatch(_problem, hierarchies,
-                                          _options.solver, inner);
-            report.oracleSolves +=
-                static_cast<int>(hierarchies.size());
-            for (std::size_t j = 0; j < owner.size(); ++j) {
-                Proposal &p = window[owner[j]];
-                Evaluated eval;
-                eval.cost = core::evaluatePlan(_problem, *p.hierarchy,
-                                               plans[j],
-                                               _options.solver.cost)
-                                .worstPathCost;
-                eval.plan = std::move(plans[j]);
-                p.eval = std::move(eval);
-            }
-        }
-        return window;
+    // A scored proposal: the candidate state, its tree and the inner
+    // oracle's evaluation of it.
+    struct Candidate
+    {
+        OuterState state;
+        std::string signature;
+        hw::Hierarchy hierarchy;
+        Evaluated eval;
     };
 
+    // Proposes one move from `from` on the iteration's substream
+    // `rng` (left positioned after the proposal draws, for the
+    // Metropolis draw) and scores it. Null moves and trees that fail
+    // validation are not scored; an inapplicable move or a defective
+    // tree counts as rejected.
+    auto propose = [&](const OuterState &from,
+                       const std::string &from_signature,
+                       util::Rng &rng) -> std::optional<Candidate> {
+        MoveKind kind;
+        std::optional<OuterState> state = proposeMove(from, rng, kind);
+        if (!state) {
+            ++report.rejected;
+            return std::nullopt;
+        }
+        ++report.proposedByKind[static_cast<std::size_t>(kind)];
+        std::string signature = state->signature();
+        if (signature == from_signature)
+            return std::nullopt; // null move; nothing to evaluate
+        defects.clear();
+        std::optional<hw::Hierarchy> hierarchy =
+            state->toHierarchy(defects);
+        if (!hierarchy) {
+            ++report.rejected;
+            return std::nullopt;
+        }
+        Evaluated eval =
+            evaluate(_problem, *hierarchy, _options.solver, inner);
+        ++report.oracleSolves;
+        return Candidate{std::move(*state), std::move(signature),
+                         std::move(*hierarchy), std::move(eval)};
+    };
+
+    // The Metropolis chain: one proposal per iteration from the
+    // current state, scored, then accepted or rejected before the
+    // next iteration proposes.
     double temperature =
         _options.initialTemperature * report.baselineCost;
-    const int lookahead_cap = std::max(1, _options.lookahead);
-    int lookahead = 1;
     int iteration = 0;
     while (withinBudget(iteration)) {
-        int window_size = lookahead;
-        if (_options.budgetIters > 0)
-            window_size = std::min(window_size,
-                                   _options.budgetIters - iteration);
-        std::vector<Proposal> window =
-            gather(current, iteration + 1, window_size);
-
-        // Sequential Metropolis replay. An acceptance invalidates the
-        // rest of the window (it was speculated from the wrong state):
-        // break, regather from the new state, and restart the window
-        // at lookahead 1. A fully rejected window doubles the
-        // lookahead — speculation widens exactly when it pays off.
-        bool accepted_in_window = false;
-        for (Proposal &p : window) {
-            if (!withinBudget(iteration))
-                break;
-            ++iteration;
-            temperature *= _options.coolingRate;
-            if (!p.state) {
-                ++report.rejected;
-                continue;
-            }
-            ++report.proposedByKind[static_cast<std::size_t>(p.kind)];
-            if (p.signature == current_signature)
-                continue; // null move; nothing to evaluate
-            if (!p.hierarchy) {
-                ++report.rejected;
-                continue;
-            }
-            const Evaluated &eval = *p.eval;
-            const double delta = eval.cost - current_eval.cost;
-            const bool accept =
-                delta < 0.0 ||
-                (temperature > 0.0 &&
-                 p.rng.uniformDouble() < std::exp(-delta / temperature));
-            maybeAdoptBest(*p.state, *p.hierarchy, eval, iteration);
-            if (accept) {
-                current = std::move(*p.state);
-                current_signature = std::move(p.signature);
-                current_eval = std::move(*p.eval);
-                ++report.accepted;
-                accepted_in_window = true;
-                break;
-            }
+        ++iteration;
+        temperature *= _options.coolingRate;
+        util::Rng rng = iterationRng(_options.seed, iteration);
+        std::optional<Candidate> candidate =
+            propose(current, current_signature, rng);
+        if (!candidate)
+            continue;
+        const double delta = candidate->eval.cost - current_eval.cost;
+        const bool accept =
+            delta < 0.0 ||
+            (temperature > 0.0 &&
+             rng.uniformDouble() < std::exp(-delta / temperature));
+        maybeAdoptBest(candidate->state, candidate->hierarchy,
+                       candidate->eval, iteration);
+        if (accept) {
+            current = std::move(candidate->state);
+            current_signature = std::move(candidate->signature);
+            current_eval = std::move(candidate->eval);
+            ++report.accepted;
         }
-        lookahead = accepted_in_window
-                        ? 1
-                        : std::min(lookahead * 2, lookahead_cap);
     }
 
     // Greedy polish: strictly-improving proposals from the best
     // state. Bounded by polishIters and, for timed runs, the same
-    // wall clock. Sequential (the best state may change on any
-    // adoption), but on the same per-iteration Rng substreams.
+    // wall clock; on the same per-iteration Rng substreams.
     for (int i = 0; i < _options.polishIters; ++i) {
         if (timed && elapsedMs(start) >= _options.budgetMs)
             break;
         ++iteration;
         util::Rng rng = iterationRng(_options.seed, iteration);
-        MoveKind kind;
-        std::optional<OuterState> candidate =
-            proposeMove(best, rng, kind);
-        if (!candidate) {
-            ++report.rejected;
-            continue;
-        }
-        ++report.proposedByKind[static_cast<std::size_t>(kind)];
-        if (candidate->signature() == report.bestSignature)
-            continue;
-        defects.clear();
-        std::optional<hw::Hierarchy> hierarchy =
-            candidate->toHierarchy(defects);
-        if (!hierarchy) {
-            ++report.rejected;
-            continue;
-        }
-        const Evaluated eval =
-            evaluate(_problem, *hierarchy, _options.solver, inner);
-        ++report.oracleSolves;
-        maybeAdoptBest(*candidate, *hierarchy, eval, iteration);
+        if (std::optional<Candidate> candidate =
+                propose(best, report.bestSignature, rng))
+            maybeAdoptBest(candidate->state, candidate->hierarchy,
+                           candidate->eval, iteration);
     }
 
     report.iterations = iteration;

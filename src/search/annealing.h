@@ -18,14 +18,11 @@
  *    from (seed, iteration), so a proposal and its acceptance draw
  *    are a pure function of the current state and the iteration
  *    number, and the inner solver is bit-identical for any
- *    thread-pool size. That is what lets the driver speculate: it
- *    gathers a lookahead window of proposals from the current state,
- *    scores them in one batched oracle call
- *    (core/solveHierarchyBatch), and replays the Metropolis decisions
- *    sequentially, discarding and regathering everything after the
- *    first acceptance — the chain, every counter and the winner are
- *    bit-identical for any lookahead (including 1, the pre-batching
- *    sequential driver) and any --jobs value.
+ *    thread-pool size. The chain is one sequential Metropolis chain:
+ *    each iteration proposes from the current state, scores the
+ *    candidate once, and accepts or rejects it before the next
+ *    proposal, so the chain, every counter and the winner are
+ *    bit-identical for any --jobs value.
  *    Wall-clock budgets (budgetMs > 0) bound the loop by elapsed
  *    time and are inherently run-to-run dependent; callers that
  *    cache results must not cache those (see
@@ -67,15 +64,6 @@ struct SearchOptions
     double coolingRate = 0.97;
     /** Greedy strictly-improving proposals after the SA loop. */
     int polishIters = 16;
-    /**
-     * Max speculative proposals scored per batched oracle call. The
-     * driver starts each window at 1, doubles it after a fully
-     * rejected window and resets it on acceptance, capped here — so
-     * speculation only widens when rejections make it profitable.
-     * Any value yields the identical chain and winner (see the file
-     * comment); 1 disables speculation outright.
-     */
-    int lookahead = 8;
     /** Inner-oracle options (cost model, ratio policy, …). */
     core::SolverOptions solver;
 };
@@ -105,9 +93,8 @@ struct SearchReport
     /** Proposals dropped: inapplicable move, builder defect, or a
      *  would-be-best that failed plan verification. */
     int rejected = 0;
-    /** Inner-oracle evaluations actually solved: the baseline, every
-     *  scored candidate, and speculative solves discarded after an
-     *  acceptance cut their window short. */
+    /** Inner-oracle evaluations: the baseline plus every scored
+     *  candidate (null moves and defective trees are not scored). */
     int oracleSolves = 0;
     std::uint64_t seed = 0;
     /** Proposals per move kind, indexed by MoveKind order (see
@@ -161,10 +148,10 @@ EffectiveBudget clampBudget(int budgetIters, double budgetMs,
 
 /**
  * The annealing driver: binds one (problem, array, options) triple
- * and runs the SA loop + polish tail on demand. The context's
- * pool/memo accelerate the inner solves; its certificate pointer is
- * ignored (candidate solves must not clobber a caller's certificate —
- * the winner is re-solved by the caller when evidence is wanted).
+ * and runs the SA loop + polish tail on demand. The context is passed
+ * to every inner solve, except its certificate pointer (candidate
+ * solves must not clobber a caller's certificate — the winner is
+ * re-solved by the caller when evidence is wanted).
  */
 class AnnealingDriver
 {

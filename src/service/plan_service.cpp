@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "analysis/plan_verifier.h"
@@ -34,6 +35,94 @@ diagnosticsJson(const std::vector<analysis::Diagnostic> &diagnostics)
     for (const analysis::Diagnostic &diagnostic : diagnostics)
         sink.report(diagnostic);
     return sink.renderJson();
+}
+
+/**
+ * Builds the PlanRequest a plan or search request solves: the inline
+ * model document or the catalog model (its params, plus the request's
+ * batch unless the params set one), the array, the strategy check and
+ * the planning fields. Throws on anything the client got wrong; the
+ * callers answer that with ASRV04.
+ */
+PlanRequest
+resolveRequest(const ServiceRequest &request, int jobs)
+{
+    graph::Graph model = [&] {
+        if (request.modelDoc)
+            return models::modelFromJson(*request.modelDoc);
+        models::ModelParams params;
+        for (const auto &[key, value] : request.params)
+            params.set(key, value);
+        if (!params.has("batch"))
+            params.set("batch", std::to_string(request.batch));
+        return models::catalog().build(request.modelName, params);
+    }();
+    hw::AcceleratorGroup array = hw::parseArraySpec(request.array);
+    // Reject unsupported strategy names before solving (and before the
+    // cache, so a bad name can never be memoized).
+    if (request.kind == RequestKind::Search) {
+        if (request.strategy != "accpar" && request.strategy != "custom")
+            throw util::ConfigError(
+                "outer search supports strategies 'accpar' and "
+                "'custom' only, got '" +
+                request.strategy + "'");
+    } else if (request.strategy != "custom") {
+        strategies::makeStrategy(request.strategy);
+    }
+    PlanRequest out(std::move(model), std::move(array));
+    out.strategy = request.strategy;
+    out.jobs = jobs;
+    out.options.verify = request.verify;
+    out.options.strict = request.strict;
+    return out;
+}
+
+/**
+ * Solves a result-cache miss. Every plan of a chain-shaped model
+ * carries its certificate fingerprint, so clients can match cached
+ * responses to audited certificate files; other models have no
+ * certificate (AG007) and plan exactly without one. The decision sits
+ * here, not in resolveRequest, so cache hits never build the problem
+ * and a model the solver refuses still answers ASRV07. Certificates
+ * are excluded from the canonical key: emission cannot change the
+ * produced plan.
+ */
+PlanResult
+solveMiss(Planner &planner, PlanRequest &request)
+{
+    request.options.emitCertificate =
+        core::PartitionProblem(request.model).hasChain();
+    return planner.plan(request);
+}
+
+/** The payload fields plan and search responses share; @p hierarchy
+ *  is the one the plan was solved on. */
+util::Json
+planPayload(const PlanResult &result, const hw::Hierarchy &hierarchy)
+{
+    util::Json payload = util::Json::Object{};
+    payload["strategy"] = result.strategy;
+    payload["model"] = result.model;
+    payload["root_cost"] = result.rootCost;
+    payload["plan_seconds"] = result.planSeconds;
+    payload["plan"] = core::planToJson(result.plan, hierarchy);
+    payload["diagnostics"] = diagnosticsJson(result.diagnostics);
+    payload["certificate_fingerprint"] =
+        result.certificate
+            ? util::Json(core::certificateFingerprint(
+                  core::certificateToJson(*result.certificate,
+                                          hierarchy)))
+            : util::Json();
+    return payload;
+}
+
+util::Json
+payloadResponse(const ServiceRequest &request, const util::Json &payload,
+                bool cached)
+{
+    util::Json response = okResponse(request.id, request.kind, payload);
+    response["cached"] = cached;
+    return response;
 }
 
 } // namespace
@@ -166,8 +255,9 @@ void
 PlanService::workerLoop()
 {
     // Each worker owns its Planner: concurrent solves never share
-    // mutable planner state, and the worker's cost cache stays warm
-    // across the requests it serves.
+    // mutable planner state. A Planner keeps only its thread pool
+    // between requests, so a worker's memory does not grow with the
+    // traffic it serves.
     Planner planner;
     while (true) {
         std::unique_ptr<Job> job;
@@ -253,34 +343,10 @@ PlanService::executePlan(const ServiceRequest &request,
 {
     // Phase 1: resolve the request's artifacts. Failures here are the
     // client's fault (unknown model, bad array spec): ASRV04.
-    std::unique_ptr<PlanRequest> plan_request;
+    std::optional<PlanRequest> plan_request;
     try {
-        graph::Graph model = [&] {
-            if (request.modelDoc)
-                return models::modelFromJson(*request.modelDoc);
-            models::ModelParams params;
-            for (const auto &[key, value] : request.params)
-                params.set(key, value);
-            if (!params.has("batch"))
-                params.set("batch", std::to_string(request.batch));
-            return models::catalog().build(request.modelName, params);
-        }();
-        hw::AcceleratorGroup array = hw::parseArraySpec(request.array);
-        // Reject unknown strategy names before solving (and before the
-        // cache, so a bad name can never be memoized).
-        if (request.strategy != "custom")
-            strategies::makeStrategy(request.strategy);
-        plan_request = std::make_unique<PlanRequest>(std::move(model),
-                                                     std::move(array));
-        plan_request->strategy = request.strategy;
-        plan_request->jobs = _config.plannerJobs;
-        plan_request->options.verify = request.verify;
-        plan_request->options.strict = request.strict;
-        // Every solved plan carries its certificate fingerprint so
-        // clients can match cached responses to audited certificate
-        // files. Excluded from the canonical key: emission cannot
-        // change the produced plan.
-        plan_request->options.emitCertificate = true;
+        plan_request.emplace(
+            resolveRequest(request, _config.plannerJobs));
     } catch (const std::exception &e) {
         return errorResponse(request.id,
                              ServiceError{kErrBadField, e.what()});
@@ -289,41 +355,17 @@ PlanService::executePlan(const ServiceRequest &request,
     const std::string key = planRequestCanonicalKey(*plan_request);
     if (std::optional<util::Json> payload = _cache.lookup(key)) {
         _metrics.cacheHits.fetch_add(1, std::memory_order_relaxed);
-        util::Json response =
-            okResponse(request.id, RequestKind::Plan, *payload);
-        response["cached"] = true;
-        return response;
+        return payloadResponse(request, *payload, true);
     }
     _metrics.cacheMisses.fetch_add(1, std::memory_order_relaxed);
 
     // Phase 2: solve. Failures here (verifier rejection, solver
     // errors) are planning failures: ASRV07, raised by process().
-    // Solved through planBatch so result-cache misses ride the same
-    // shared-problem engine as sweeps (and a future multi-request
-    // protocol batches for free).
-    const PlanResult result =
-        planner.planBatch({*plan_request}).front();
-    const hw::Hierarchy hierarchy(plan_request->array);
-
-    util::Json payload = util::Json::Object{};
-    payload["strategy"] = result.strategy;
-    payload["model"] = result.model;
-    payload["root_cost"] = result.rootCost;
-    payload["plan_seconds"] = result.planSeconds;
-    payload["plan"] = core::planToJson(result.plan, hierarchy);
-    payload["diagnostics"] = diagnosticsJson(result.diagnostics);
-    payload["certificate_fingerprint"] =
-        result.certificate
-            ? util::Json(core::certificateFingerprint(
-                  core::certificateToJson(*result.certificate,
-                                          hierarchy)))
-            : util::Json();
-
+    const PlanResult result = solveMiss(planner, *plan_request);
+    const util::Json payload =
+        planPayload(result, hw::Hierarchy(plan_request->array));
     _cache.insert(key, payload);
-    util::Json response =
-        okResponse(request.id, RequestKind::Plan, payload);
-    response["cached"] = false;
-    return response;
+    return payloadResponse(request, payload, false);
 }
 
 util::Json
@@ -348,39 +390,17 @@ PlanService::executeSearch(const ServiceRequest &request,
 
     // Phase 1: resolve artifacts under the same rules as plan
     // requests (failures are the client's fault: ASRV04).
-    std::unique_ptr<PlanRequest> plan_request;
+    std::optional<PlanRequest> plan_request;
     try {
-        graph::Graph model = [&] {
-            if (request.modelDoc)
-                return models::modelFromJson(*request.modelDoc);
-            models::ModelParams params;
-            for (const auto &[key, value] : request.params)
-                params.set(key, value);
-            if (!params.has("batch"))
-                params.set("batch", std::to_string(request.batch));
-            return models::catalog().build(request.modelName, params);
-        }();
-        hw::AcceleratorGroup array = hw::parseArraySpec(request.array);
-        if (request.strategy != "accpar" &&
-            request.strategy != "custom")
-            throw util::ConfigError(
-                "outer search supports strategies 'accpar' and "
-                "'custom' only, got '" +
-                request.strategy + "'");
-        plan_request = std::make_unique<PlanRequest>(std::move(model),
-                                                     std::move(array));
-        plan_request->strategy = request.strategy;
-        plan_request->jobs = _config.plannerJobs;
-        plan_request->options.verify = request.verify;
-        plan_request->options.strict = request.strict;
-        plan_request->options.emitCertificate = true;
-        plan_request->options.search.budgetIters = budget.budgetIters;
-        plan_request->options.search.budgetMs = budget.budgetMs;
-        plan_request->options.search.seed = request.seed;
+        plan_request.emplace(
+            resolveRequest(request, _config.plannerJobs));
     } catch (const std::exception &e) {
         return errorResponse(request.id,
                              ServiceError{kErrBadField, e.what()});
     }
+    plan_request->options.search.budgetIters = budget.budgetIters;
+    plan_request->options.search.budgetMs = budget.budgetMs;
+    plan_request->options.search.seed = request.seed;
 
     // Only iteration-budgeted, deadline-free searches may hit the
     // result cache: they are pure functions of the request (the
@@ -391,10 +411,7 @@ PlanService::executeSearch(const ServiceRequest &request,
     if (budget.cacheable) {
         if (std::optional<util::Json> payload = _cache.lookup(key)) {
             _metrics.cacheHits.fetch_add(1, std::memory_order_relaxed);
-            util::Json response =
-                okResponse(request.id, RequestKind::Search, *payload);
-            response["cached"] = true;
-            return response;
+            return payloadResponse(request, *payload, true);
         }
         _metrics.cacheMisses.fetch_add(1, std::memory_order_relaxed);
     }
@@ -402,27 +419,13 @@ PlanService::executeSearch(const ServiceRequest &request,
     // Phase 2: search + solve. Failures surface as ASRV07 via
     // process(). The plan's node ids index the winning hierarchy, so
     // serialization must use it, never the seed hierarchy.
-    const PlanResult result =
-        planner.planBatch({*plan_request}).front();
+    const PlanResult result = solveMiss(planner, *plan_request);
     ACCPAR_REQUIRE(result.searchedHierarchy && result.searchReport,
                    "search-enabled plan returned no searched "
                    "hierarchy");
-    const hw::Hierarchy &hierarchy = *result.searchedHierarchy;
     const search::SearchReport &report = *result.searchReport;
 
-    util::Json payload = util::Json::Object{};
-    payload["strategy"] = result.strategy;
-    payload["model"] = result.model;
-    payload["root_cost"] = result.rootCost;
-    payload["plan_seconds"] = result.planSeconds;
-    payload["plan"] = core::planToJson(result.plan, hierarchy);
-    payload["diagnostics"] = diagnosticsJson(result.diagnostics);
-    payload["certificate_fingerprint"] =
-        result.certificate
-            ? util::Json(core::certificateFingerprint(
-                  core::certificateToJson(*result.certificate,
-                                          hierarchy)))
-            : util::Json();
+    util::Json payload = planPayload(result, *result.searchedHierarchy);
     payload["baseline_cost"] = report.baselineCost;
     payload["best_cost"] = report.bestCost;
     payload["search_iterations"] =
@@ -440,10 +443,7 @@ PlanService::executeSearch(const ServiceRequest &request,
 
     if (budget.cacheable)
         _cache.insert(key, payload);
-    util::Json response =
-        okResponse(request.id, RequestKind::Search, payload);
-    response["cached"] = false;
-    return response;
+    return payloadResponse(request, payload, false);
 }
 
 util::Json

@@ -10,16 +10,16 @@
  * EXPECT_NEAR. Randomized series-parallel graphs exercise residual
  * (identity-shortcut) and concat regions; the zoo models pin down the
  * real networks the paper evaluates. Kernels sharing one DpStructure
- * and the batched hierarchy solve are checked against fresh kernels
- * and per-candidate solves the same way.
+ * and solves with the opt-in cost cache attached are checked against
+ * fresh kernels and cache-free solves the same way.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/certificate.h"
 #include "core/chain_dp.h"
 #include "core/cost_cache.h"
 #include "core/dp_kernel.h"
@@ -32,9 +32,7 @@
 #include "models/zoo.h"
 #include "support/graph_gen.h"
 #include "support/legacy_dp.h"
-#include "util/error.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -186,62 +184,50 @@ TEST(DpKernel, KernelsSharingOneStructureMatchFreshKernels)
     }
 }
 
-TEST(DpKernel, SolveHierarchyBatchMatchesPerCandidateSolves)
+TEST(DpKernel, AttachedCostCacheDoesNotChangePlans)
 {
-    const core::PartitionProblem problem(
-        models::buildModel("resnet50", 64));
-    std::vector<hw::Hierarchy> candidates;
-    for (int levels : {2, 3, 4})
-        candidates.emplace_back(
-            hw::heterogeneousTpuArrayForLevels(levels));
-    std::vector<const hw::Hierarchy *> pointers;
-    for (const hw::Hierarchy &h : candidates)
-        pointers.push_back(&h);
+    // SolveContext::memo is opt-in and no production path sets it.
+    // A cold and a warm cache-attached solve must give the bytes of a
+    // solve that computes every cost term directly.
+    for (const char *name : {"vgg16", "resnet50", "googlenet"}) {
+        const core::PartitionProblem problem(
+            models::buildModel(name, 64));
+        const hw::Hierarchy hierarchy(
+            hw::heterogeneousTpuArrayForLevels(4));
+        for (core::RatioPolicy policy :
+             {core::RatioPolicy::PaperLinear,
+              core::RatioPolicy::ExactBalance}) {
+            core::SolverOptions options;
+            options.ratioPolicy = policy;
+            const auto bytes = [&](const core::SolveContext &context) {
+                return core::planToJson(
+                           core::solveHierarchy(problem, hierarchy,
+                                                options, context),
+                           hierarchy)
+                    .dump(2);
+            };
+            const std::string direct = bytes({});
 
-    core::SolverOptions options;
-    options.ratioPolicy = core::RatioPolicy::ExactBalance;
-
-    const std::vector<core::PartitionPlan> sequential =
-        core::solveHierarchyBatch(problem, pointers, options, {});
-
-    util::ThreadPool pool(4);
-    core::SolveContext pooled;
-    pooled.pool = &pool;
-    const std::vector<core::PartitionPlan> parallel =
-        core::solveHierarchyBatch(problem, pointers, options, pooled);
-
-    ASSERT_EQ(sequential.size(), candidates.size());
-    ASSERT_EQ(parallel.size(), candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        const std::string reference =
-            core::planToJson(
-                core::solveHierarchy(problem, candidates[i], options),
-                candidates[i])
-                .dump();
-        EXPECT_EQ(reference,
-                  core::planToJson(sequential[i], candidates[i]).dump())
-            << "candidate " << i;
-        EXPECT_EQ(reference,
-                  core::planToJson(parallel[i], candidates[i]).dump())
-            << "candidate " << i;
+            core::CostCache cache;
+            const core::SolveContext cached{nullptr, &cache};
+            EXPECT_EQ(bytes(cached), direct)
+                << name << " cold, policy "
+                << core::ratioPolicyName(policy);
+            const std::uint64_t cold_hits = cache.stats().hits;
+            EXPECT_EQ(bytes(cached), direct)
+                << name << " warm, policy "
+                << core::ratioPolicyName(policy);
+            EXPECT_GT(cache.stats().hits, cold_hits)
+                << name << " policy " << core::ratioPolicyName(policy);
+        }
     }
-
-    // Certificate emission is per-solve evidence; the batch entry
-    // point must refuse a certificate-carrying context outright.
-    core::PlanCertificate cert;
-    core::SolveContext with_cert;
-    with_cert.certificate = &cert;
-    EXPECT_THROW(
-        core::solveHierarchyBatch(problem, pointers, options, with_cert),
-        util::ConfigError);
 }
 
 TEST(DpKernel, PlanBatchMatchesIndependentPlans)
 {
-    // planBatch shares one PartitionProblem per distinct model and one
-    // warm cache across the whole batch; results must still be
-    // identical to planning each request alone (including with a
-    // parallel pool attached).
+    // planBatch shares one PartitionProblem per distinct model across
+    // the whole batch; results must still be identical to planning
+    // each request alone (including with a parallel pool attached).
     std::vector<PlanRequest> requests;
     for (const char *name : {"vgg16", "alexnet", "vgg16"}) {
         for (int levels : {2, 3}) {

@@ -2,9 +2,9 @@
  * @file
  * Tests of the accpar::Planner facade: facade results equal the direct
  * solver path, parallel plans are byte-identical to sequential ones
- * (the engine's determinism guarantee), the memo cache pays off across
- * repeated requests, and the unified PlanOptions round-trips through
- * the deprecated SolverOptions view.
+ * (the engine's determinism guarantee), a reused planner answers like
+ * a fresh one, and the unified PlanOptions round-trips through the
+ * deprecated SolverOptions view.
  */
 
 #include <string>
@@ -97,21 +97,24 @@ TEST(PlannerTest, DeeperHierarchyStaysDeterministicUnderThreads)
     }
 }
 
-TEST(PlannerTest, RepeatedRequestsHitTheMemoCache)
+TEST(PlannerTest, ReusedPlannerMatchesFreshPlanners)
 {
-    const graph::Graph model = models::buildModel("lenet", 32);
-    Planner planner;
-    PlanRequest request(model, hw::heterogeneousTpuArrayForLevels(3));
+    // A planner keeps no state between requests that could change an
+    // answer: A, B, A on one planner equal three fresh planners.
+    PlanRequest a(models::buildModel("lenet", 32),
+                  hw::heterogeneousTpuArrayForLevels(3));
+    PlanRequest b(models::buildModel("alexnet", 64),
+                  hw::heterogeneousTpuArrayForLevels(2));
+    b.jobs = 4;
 
-    const PlanResult first = planner.plan(request);
-    EXPECT_GT(first.cacheDelta.misses, 0u);
-
-    const PlanResult second = planner.plan(request);
-    EXPECT_EQ(second.cacheDelta.misses, 0u);
-    EXPECT_GT(second.cacheDelta.hits, 0u);
-    EXPECT_EQ(planBytes(second.plan,
-                        hw::Hierarchy(request.array)),
-              planBytes(first.plan, hw::Hierarchy(request.array)));
+    Planner reused;
+    for (const PlanRequest *request : {&a, &b, &a}) {
+        const hw::Hierarchy hierarchy(request->array);
+        Planner fresh;
+        EXPECT_EQ(planBytes(reused.plan(*request).plan, hierarchy),
+                  planBytes(fresh.plan(*request).plan, hierarchy))
+            << request->model.name();
+    }
 }
 
 TEST(PlannerTest, PlanBatchMatchesIndividualPlans)

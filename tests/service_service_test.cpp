@@ -58,6 +58,22 @@ inlineModelDoc()
     return doc;
 }
 
+/** An FC bridge (a->b, a->c, b+c->d, c->e, d->f, e+f->g): plannable
+ *  exactly, but not chain-shaped, so it has no certificate (AG007). */
+constexpr char kBridgeModel[] = R"({
+  "name": "bridge",
+  "input": {"batch": 8, "channels": 4, "height": 1, "width": 1},
+  "layers": [
+    {"op": "fc", "name": "a", "out": 4},
+    {"op": "fc", "name": "b", "out": 4, "input": "a"},
+    {"op": "fc", "name": "c", "out": 4, "input": "a"},
+    {"op": "add", "name": "d", "inputs": ["b", "c"]},
+    {"op": "fc", "name": "e", "out": 4, "input": "c"},
+    {"op": "fc", "name": "f", "out": 4, "input": "d"},
+    {"op": "add", "name": "g", "inputs": ["e", "f"]}
+  ]
+})";
+
 util::Json
 roundTrip(PlanService &plan_service, const std::string &line)
 {
@@ -90,8 +106,9 @@ TEST(PlanServiceTest, PlanColdThenWarmIsByteIdentical)
     EXPECT_EQ(warm.at("root_cost").asNumber(),
               cold.at("root_cost").asNumber());
 
-    // Every plan response — cold or cached — carries the certificate
-    // fingerprint of the solve that produced it.
+    // Every plan response of a chain-shaped model — cold or cached —
+    // carries the certificate fingerprint of the solve that produced
+    // it.
     const std::string fingerprint =
         cold.at("certificate_fingerprint").asString();
     EXPECT_EQ(fingerprint.size(), 16u);
@@ -121,6 +138,47 @@ TEST(PlanServiceTest, ZeroCacheEntriesDisablesMemoization)
     EXPECT_FALSE(roundTrip(plan_service, planLine(2))
                      .at("cached")
                      .asBool());
+}
+
+TEST(PlanServiceTest, NonChainInlineModelPlansWithoutCertificate)
+{
+    PlanService plan_service(ServiceConfig{});
+    util::Json doc = util::Json::Object{};
+    doc["kind"] = "plan";
+    doc["id"] = 1;
+    doc["model"] = util::Json::parse(kBridgeModel);
+    doc["array"] = "tpu-v2:2+tpu-v3:2";
+
+    const util::Json cold = roundTrip(plan_service, doc.dump());
+    ASSERT_TRUE(cold.at("ok").asBool()) << cold.dump();
+    EXPECT_FALSE(cold.at("cached").asBool());
+    EXPECT_TRUE(cold.at("certificate_fingerprint").isNull());
+
+    const util::Json warm = roundTrip(plan_service, doc.dump());
+    ASSERT_TRUE(warm.at("ok").asBool()) << warm.dump();
+    EXPECT_TRUE(warm.at("cached").asBool());
+    EXPECT_EQ(warm.at("plan").dump(), cold.at("plan").dump());
+    EXPECT_TRUE(warm.at("certificate_fingerprint").isNull());
+
+    doc["kind"] = "search";
+    doc["budget_iters"] = 8;
+    const util::Json searched = roundTrip(plan_service, doc.dump());
+    ASSERT_TRUE(searched.at("ok").asBool()) << searched.dump();
+    EXPECT_TRUE(searched.at("certificate_fingerprint").isNull());
+    EXPECT_LE(searched.at("best_cost").asNumber(),
+              searched.at("baseline_cost").asNumber());
+
+    // Chain-shaped models keep their certificates on the same service.
+    util::Json chain = util::Json::Object{};
+    chain["kind"] = "plan";
+    chain["id"] = 2;
+    chain["model"] = "alexnet";
+    chain["batch"] = 32;
+    chain["array"] = "tpu-v2:2+tpu-v3:2";
+    const util::Json alexnet = roundTrip(plan_service, chain.dump());
+    ASSERT_TRUE(alexnet.at("ok").asBool()) << alexnet.dump();
+    EXPECT_EQ(alexnet.at("certificate_fingerprint").asString().size(),
+              16u);
 }
 
 TEST(PlanServiceTest, UnknownModelIsASRV04)
